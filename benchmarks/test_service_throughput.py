@@ -11,7 +11,7 @@ at least ``CONCURRENT_SPEEDUP_FLOOR``.
 Measured on the development container: ~3x with the batching window
 forced to zero wait (the honest configuration — the default 2 ms
 window would pad the sequential side with pure timer sleep).  The
-floor is set at half the measured margin, same policy as the jit
+floor is set at half the measured margin, same policy as the engine
 overhead guards.
 """
 

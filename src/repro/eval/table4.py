@@ -49,12 +49,12 @@ def measure_table4(
     pipeline_config: PipelineConfig = ROCKET_CONFIG,
     verify_samples: int = 1,
     seed: int = 2024,
-    engine: str | None = None,
+    engine: str = "interpreter",
 ) -> Table4:
     """Measure every Table 4 cell on the simulator.
 
-    *engine* selects the execution tier (``None`` = the runner
-    default).  The verification samples go through
+    *engine* selects the execution tier (default: the runner default,
+    the interpreter).  The verification samples go through
     :meth:`KernelRunner.run_batch`, so throughput-oriented tiers
     amortise their per-run setup across the whole sample set — the
     cycle counts are engine-independent either way (the differential

@@ -251,13 +251,6 @@ def run_trial_range(
                 max_recovery_attempts=max_recovery_attempts,
                 engine=engine,
             )
-            if engine == "jit":
-                # compile the jit functions *before* arming, so
-                # replay-cache faults corrupt a live compiled image
-                # (the scenario the jit campaign exists to cover)
-                for slot in ("_mul", "_sqr", "_add", "_sub"):
-                    runner = getattr(context, slot)
-                    runner.machine.jit_supported(runner.entry)
             reference = context._reference
             a = operands.randrange(p)
             b = operands.randrange(p)
@@ -286,9 +279,10 @@ def run_campaign(
     """Inject *n* planned faults into checked contexts over F_p.
 
     *engine* selects the execution tier the checked contexts run on
-    (``None`` keeps the context default, replay); ``engine="jit"``
-    campaigns prove that replay-cache corruption reaches a live
-    compiled jit function and that recovery evicts it."""
+    (``None`` keeps the context default, replay); ``engine="aot"``
+    campaigns prove that replay-cache corruption also takes the live
+    fused aot tier out, so runs demote onto the poisoned trace, and
+    that recovery evicts both."""
     trials, metrics = run_trial_range(
         p,
         seed=seed,

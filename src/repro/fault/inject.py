@@ -6,23 +6,17 @@ installs the corruption:
 
 * interpreter sites (``register_flip``, ``memory_flip``) attach a
   one-shot :meth:`Machine.add_trace_hook` that fires at a chosen
-  retired-instruction index — attaching a hook also makes ``replay=True``
+  retired-instruction index — attaching a hook also makes fast-engine
   requests fall back to the interpreter, so the flip lands mid-kernel
   exactly as a transient hardware fault would;
 * replay-cache sites (``replay_step_skip``, ``replay_closure_corrupt``,
   ``replay_cycles_corrupt``) swap the cached
   :class:`~repro.rv64.replay.CompiledTrace` for a poisoned copy —
   *persistent* corruption that stays until recovery invalidates the
-  cache entry.  When the machine also holds a **compiled jit
-  function** for the same entry, the equivalent jit poisoning
-  (:func:`~repro.rv64.jit.poisoned_skip` / ``poisoned_xor`` /
-  ``poisoned_cycles``) is applied in the same arming step: the jit
-  image is the same cached execution state in another form, so a fault
-  that corrupts the trace must reach it too, or jit runs would sail
-  straight past the armed fault.  A live **aot tier** is dropped in
-  the same arming step (its liveness guard trips and runs demote onto
-  the poisoned jit function), so the fault is observable from the top
-  of the aot → jit → replay → interpreter ladder down;
+  cache entry.  A live **aot tier** is dropped in the same arming step
+  (its liveness guard trips and runs demote onto the poisoned trace),
+  so the fault is observable from the top of the aot → replay →
+  interpreter ladder down;
 * ``output_corrupt`` installs a one-shot hook on the runner's result
   read-out seam, perturbing what the caller sees independently of the
   engine.
@@ -51,7 +45,6 @@ from repro.fault.plan import (
 )
 from repro.kernels.layout import RESULT_ADDR
 from repro.kernels.runner import KernelRunner
-from repro.rv64.jit import poisoned_cycles, poisoned_skip, poisoned_xor
 from repro.rv64.replay import _is_terminal_ret
 
 
@@ -114,72 +107,36 @@ def _poisoned_trace(runner: KernelRunner):
     return machine, trace
 
 
-def _poison_jit(machine, entry: int, poison) -> Callable[[], None]:
-    """Apply *poison* to a live compiled jit function, if one exists.
-
-    Returns the restore callable (a no-op when the entry was never
-    jit-compiled — interpreter/replay-only campaigns arm exactly as
-    before)."""
-    original = machine._jit_cache.get(entry)
-    if original is None:
-        return lambda: None
-    machine._jit_cache[entry] = poison(original)
-
-    def restore() -> None:
-        machine._jit_cache[entry] = original
-
-    return restore
-
-
-def _ensure_demotion_jit(runner: KernelRunner) -> None:
-    """Force-compile the jit rung for an aot runner before poisoning.
-
-    aot runners skip eager jit compilation (it would re-trace and
-    defeat the artifact warm start), but a poisoned aot tier demotes
-    onto the jit rung — so the jit function must exist *now*, built
-    from the still-healthy trace, for the poisoning below to reach it.
-    """
-    if runner.engine == "aot":
-        runner.machine._jit_for(runner.entry)
-
-
-def _poison_aot(machine, entry: int) -> Callable[[], None]:
-    """Take the live aot tier for *entry* out while a fault is armed.
+def _install_poisoned_trace(
+    machine, entry: int, original, poisoned
+) -> Callable[[], None]:
+    """Swap *poisoned* in for *entry*'s trace and take the live aot tier
+    out while the fault is armed; returns the disarm callable.
 
     The fused aot thunk computes results from the expression graph —
     it never consults ``trace.steps`` — so poisoning the trace cannot
     reach it; symmetry demands the tier be dropped instead: the entry
-    thunk's liveness guard trips, runs demote onto the (poisoned) jit
-    function, and the armed fault is visible from every tier.  The
-    entry also joins ``_aot_rejected`` so nothing recompiles a
-    *healthy* aot function from the untouched ``step_instructions``
-    while the fault is armed."""
+    thunk's liveness guard trips, runs demote onto the poisoned replay
+    trace, and the armed fault is visible from every tier.  The entry
+    also joins ``_aot_rejected`` so nothing recompiles a *healthy* aot
+    function from the untouched ``step_instructions`` while the fault
+    is armed."""
+    machine._trace_cache[entry] = poisoned
     entry_fn = machine._aot_entry_cache.pop(entry, None)
     aotfn = machine._aot_cache.pop(entry, None)
     was_rejected = entry in machine._aot_rejected
     machine._aot_rejected.add(entry)
 
-    def restore() -> None:
+    def disarm() -> None:
+        # harmless if recovery already rebuilt the runner: the poisoned
+        # machine is unreachable then, and restoring it changes nothing
+        machine._trace_cache[entry] = original
         if entry_fn is not None:
             machine._aot_entry_cache[entry] = entry_fn
         if aotfn is not None:
             machine._aot_cache[entry] = aotfn
         if not was_rejected:
             machine._aot_rejected.discard(entry)
-
-    return restore
-
-
-def _restore_trace(machine, entry: int, original, restore_jit=None,
-                   restore_aot=None):
-    def disarm() -> None:
-        # harmless if recovery already rebuilt the runner: the poisoned
-        # machine is unreachable then, and restoring it changes nothing
-        machine._trace_cache[entry] = original
-        if restore_jit is not None:
-            restore_jit()
-        if restore_aot is not None:
-            restore_aot()
 
     return disarm
 
@@ -230,26 +187,17 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
 
     if kind == SITE_REPLAY_SKIP:
         machine, trace = _poisoned_trace(runner)
-        _ensure_demotion_jit(runner)
         k = site.step % len(trace.steps)
         steps = trace.steps[:k] + trace.steps[k + 1:]
-        machine._trace_cache[runner.entry] = replace(trace, steps=steps)
-        restore_jit = _poison_jit(
-            machine, runner.entry,
-            lambda jitfn: (poisoned_skip(jitfn, k)
-                           if k < len(jitfn.blocks) else jitfn),
-        )
-        restore_aot = _poison_aot(machine, runner.entry)
         return ArmedFault(
             site=site, kernel=kernel,
             description=f"skip replay step {k}/{len(trace.steps)}",
-            disarm=_restore_trace(machine, runner.entry, trace,
-                                  restore_jit, restore_aot),
+            disarm=_install_poisoned_trace(
+                machine, runner.entry, trace, replace(trace, steps=steps)),
         )
 
     if kind == SITE_REPLAY_CLOSURE:
         machine, trace = _poisoned_trace(runner)
-        _ensure_demotion_jit(runner)
         candidates = _write_candidates(runner)
         if not candidates:
             raise FaultError(f"{kernel}: no register-write sites")
@@ -264,24 +212,16 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
             regs[reg] ^= mask
 
         steps = trace.steps[:k] + (corrupted_step,) + trace.steps[k + 1:]
-        machine._trace_cache[runner.entry] = replace(trace, steps=steps)
-        restore_jit = _poison_jit(
-            machine, runner.entry,
-            lambda jitfn: (poisoned_xor(jitfn, k, reg, mask)
-                           if k < len(jitfn.blocks) else jitfn),
-        )
-        restore_aot = _poison_aot(machine, runner.entry)
         return ArmedFault(
             site=site, kernel=kernel,
             description=(f"replay step {k} additionally flips bit "
                          f"{site.bit % 64} of x{reg}"),
-            disarm=_restore_trace(machine, runner.entry, trace,
-                                  restore_jit, restore_aot),
+            disarm=_install_poisoned_trace(
+                machine, runner.entry, trace, replace(trace, steps=steps)),
         )
 
     if kind == SITE_REPLAY_CYCLES:
         machine, trace = _poisoned_trace(runner)
-        _ensure_demotion_jit(runner)
         if trace.cycles is None:
             raise FaultError(
                 f"{kernel}: trace has no static cycle count to corrupt"
@@ -290,19 +230,13 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
                                            else -site.delta))
         if corrupted == trace.cycles:
             corrupted += 1
-        machine._trace_cache[runner.entry] = replace(trace,
-                                                     cycles=corrupted)
-        restore_jit = _poison_jit(
-            machine, runner.entry,
-            lambda jitfn: poisoned_cycles(jitfn, corrupted),
-        )
-        restore_aot = _poison_aot(machine, runner.entry)
         return ArmedFault(
             site=site, kernel=kernel,
             description=(f"static cycle count {trace.cycles} -> "
                          f"{corrupted}"),
-            disarm=_restore_trace(machine, runner.entry, trace,
-                                  restore_jit, restore_aot),
+            disarm=_install_poisoned_trace(
+                machine, runner.entry, trace,
+                replace(trace, cycles=corrupted)),
         )
 
     if kind == SITE_OUTPUT_CORRUPT:

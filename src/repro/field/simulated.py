@@ -8,10 +8,7 @@ engine (:mod:`repro.rv64.replay`): each kernel is decoded once into a
 compiled closure sequence with a precomputed cycle cost, so an
 end-to-end protocol run touches fetch/decode and the cycle-accurate
 pipeline walker exactly once per kernel instead of once per field
-operation.  ``engine="jit"`` goes one tier further
-(:mod:`repro.rv64.jit`): the compiled trace is code-generated into a
-single Python function per kernel, removing the per-step closure
-dispatch as well.  ``engine="aot"`` is the top tier
+operation.  ``engine="aot"`` is the top tier
 (:mod:`repro.rv64.aot`): the whole trace is fused into limb-level
 wide-int arithmetic over the operand values — no per-instruction
 statements, no memory marshalling — and warm-starts from the
@@ -121,7 +118,7 @@ class SimulatedFieldContext(FieldContext):
         # against the kernel's golden reference; the default replays
         # compiled traces (equivalence is covered by the differential
         # suite, so per-run re-verification would only re-prove it);
-        # engine="jit" selects the code-generated tier on top of that.
+        # engine="aot" selects the fused whole-kernel tier on top of it.
         if engine is None:
             engine = "interpreter" if cross_check else "replay"
         elif engine not in ENGINES:
@@ -134,7 +131,6 @@ class SimulatedFieldContext(FieldContext):
                 f"interpreter; engine={engine!r} conflicts"
             )
         self.engine = engine
-        self._replay = engine != "interpreter"  # legacy alias
         self._checked = (
             _CheckedConfig(check_interval, max_recovery_attempts)
             if checked else None
@@ -227,7 +223,7 @@ class SimulatedFieldContext(FieldContext):
         for slot in slots:
             runner = getattr(self, slot)
             name = runner.kernel.name
-            # drops the cached trace, any compiled jit/aot function,
+            # drops the cached trace, any compiled aot function,
             # and the entry's on-disk aot artifact
             runner.machine.invalidate_trace(runner.entry)
             registry.evict_runner(self.p, name, self._pipeline_config,

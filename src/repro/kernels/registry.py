@@ -342,9 +342,9 @@ def cached_runner(
     interval of the pooled checked runner (last caller wins).
 
     ``engine`` selects the runner's default execution tier and is part
-    of the pool key, so a jit-tier context (whose runner eagerly
-    compiles its trace to a Python function) never shares a machine
-    with an interpreter- or replay-tier one; eviction and rebuild stay
+    of the pool key, so an aot-tier context (whose runner eagerly
+    fuses its kernel into an entry thunk) never shares a machine with
+    an interpreter- or replay-tier one; eviction and rebuild stay
     per-tier.
 
     Pool traffic is observable: telemetry counts hits and misses
@@ -399,7 +399,7 @@ def evict_runner(
 
     The recovery primitive of the hardened execution layer: a runner
     whose machine state (memory image, const pool, replay cache,
-    compiled jit functions) is suspected of corruption is evicted so
+    compiled aot functions) is suspected of corruption is evicted so
     the next :func:`cached_runner` call rebuilds it from scratch —
     re-assembly from the pristine kernel source is the trust anchor.
     """

@@ -10,21 +10,18 @@ equivalence.
 
 Because every generated kernel is branch-free straight-line code, a
 runner can execute it through the fast execution tiers: ``engine=
-"replay"`` (or the legacy ``replay=True``) decodes the kernel once into
-a compiled closure trace (:mod:`repro.rv64.replay`); ``engine="jit"``
-code-generates that trace into a single Python function
-(:mod:`repro.rv64.jit`) that the runner calls directly — no
-per-instruction dispatch of any kind; ``engine="aot"`` fuses the whole
-trace into limb-level wide-int arithmetic (:mod:`repro.rv64.aot`) and
-can warm-start from the persistent on-disk artifact cache
+"replay"`` decodes the kernel once into a compiled closure trace
+(:mod:`repro.rv64.replay`); ``engine="aot"`` fuses the whole trace into
+limb-level wide-int arithmetic (:mod:`repro.rv64.aot`) that the runner
+calls directly — no per-instruction dispatch of any kind — and can
+warm-start from the persistent on-disk artifact cache
 (:mod:`repro.rv64.artifacts`) without re-tracing at all.  Every tier
 returns bit-identical limbs and the identical cycle count
-(``tests/differential/`` proves the four-way equivalence for every
-kernel variant), and all demote down the aot → jit → replay →
-interpreter ladder whenever their preconditions fail
-(:class:`~repro.rv64.aot.AotError` / :class:`~repro.rv64.jit.JitError`
-refusals, non-replayable programs, cache-enabled timing, attached
-trace hooks).
+(``tests/differential/`` proves the three-way equivalence for every
+kernel variant), and all demote down the aot → replay → interpreter
+ladder whenever their preconditions fail
+(:class:`~repro.rv64.aot.AotError` refusals, non-replayable programs,
+cache-enabled timing, attached trace hooks).
 
 :meth:`KernelRunner.run_batch` executes one kernel over many operand
 sets in a single call, amortising the per-call setup (engine
@@ -49,12 +46,7 @@ from repro.kernels.layout import (
 )
 from repro.kernels.spec import Kernel
 from repro.rv64.assembler import assemble
-from repro.rv64.machine import (
-    DEFAULT_STACK_TOP,
-    ENGINES,
-    HALT_ADDRESS,
-    Machine,
-)
+from repro.rv64.machine import DEFAULT_STACK_TOP, ENGINES, Machine
 from repro.rv64.pipeline import PipelineConfig, PipelineModel, ROCKET_CONFIG
 from repro.rv64.registers import NUM_REGISTERS, register_index
 
@@ -121,22 +113,17 @@ class KernelRunner:
         *,
         pipeline_config: PipelineConfig = ROCKET_CONFIG,
         schedule: bool = False,
-        replay: bool = False,
-        engine: str | None = None,
+        engine: str = "interpreter",
         checked: bool = False,
         check_interval: int = DEFAULT_CHECK_INTERVAL,
     ) -> None:
-        if engine is None:
-            engine = "replay" if replay else "interpreter"
-        elif engine not in ENGINES:
+        if engine not in ENGINES:
             raise KernelError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         self.kernel = kernel
         self.engine = engine
         self._pipeline_config = pipeline_config
-        # legacy alias kept for callers that predate the engine ladder
-        self.replay = engine != "interpreter"
         # hardening state (checked mode + fault-injection seam); None
         # keeps the disabled hot path at a single boolean test
         self._hardening: _Hardening | None = None
@@ -164,33 +151,15 @@ class KernelRunner:
         )
         self._result_reg = register_index("a0")
         # fused entry thunks (marshal/call/read-out in one generated
-        # function); None on non-jit runners and unspecialisable
-        # layouts.  The replay-tier variant is built lazily on first
+        # function); None on non-aot runners and unspecialisable
+        # layouts.  The replay-tier batch thunk is built lazily on first
         # run_batch (False = build attempted, layout unspecialisable).
-        self._entry_thunk = None
         self._replay_thunk = None
         self._aot_thunk = None
-        if engine == "jit":
-            # compile eagerly: the pool hands out ready runners, and
-            # fault campaigns arm against a live compiled function
-            if self.machine.jit_supported(self.entry):
-                from repro.rv64.jit import compile_entry
-
-                self._entry_thunk = compile_entry(
-                    self.machine, self.entry,
-                    arg_plan=self._arg_plan,
-                    result_reg=self._result_reg,
-                    result_addr=RESULT_ADDR,
-                    out_limbs=kernel.output_limbs,
-                    radix=kernel.context.radix,
-                    stack_top=DEFAULT_STACK_TOP,
-                )
-        elif engine == "aot":
+        if engine == "aot":
             # warm-start if the artifact cache has this kernel; only
             # then fall back to trace + fuse (and persist the result).
-            # The jit rung is deliberately NOT precompiled here — it
-            # would need the trace, defeating the warm start; fault
-            # campaigns force-compile it at arm time instead.
+            # The replay rung compiles its trace lazily, on demotion.
             self._init_aot(schedule=schedule)
         if checked:
             self.enable_checked(check_interval)
@@ -201,7 +170,7 @@ class KernelRunner:
         Resolution order: validated on-disk artifact (no re-tracing) →
         whole-kernel fusion of a fresh trace (persisted for the next
         process, when the source is artifact-safe) → rejection (the
-        entry demotes to the jit rung on first run).  List-scheduled
+        entry demotes to the replay rung on first run).  List-scheduled
         runners execute a *different* program than the kernel source
         hashes to, so they bypass the disk cache entirely.
         """
@@ -360,20 +329,16 @@ class KernelRunner:
         return self._static_size
 
     def _resolve_engine(self, engine: str) -> str:
-        """Walk the aot -> jit -> replay -> interpreter demotion ladder.
+        """Walk the aot -> replay -> interpreter demotion ladder.
 
         Each rung demotes exactly one step when its precondition fails;
-        aot and jit demotions are counted (``aot_demotions_total`` /
-        ``jit_demotions_total``), the replay -> interpreter step keeps
-        its PR-1 behaviour (silent here; :meth:`Machine.run` records
-        the per-run fallback).
+        aot demotions are counted (``aot_demotions_total``), the
+        replay -> interpreter step is silent here (:meth:`Machine.run`
+        records the per-run fallback).
         """
         machine = self.machine
         if engine == "aot" and not machine.aot_supported(self.entry):
             telemetry.record_aot_demotion("not_compilable")
-            engine = "jit"
-        if engine == "jit" and not machine.jit_supported(self.entry):
-            telemetry.record_jit_demotion("not_compilable")
             engine = "replay"
         if engine == "replay" and not machine.replay_supported(self.entry):
             engine = "interpreter"  # e.g. cache-enabled timing
@@ -399,14 +364,14 @@ class KernelRunner:
     def _execute_fast(self, engine: str):
         """Run from the marshalled lean-path state.
 
-        Returns ``(engine_ran, cycles, instructions)``.  For jit the
-        compiled function is called directly — no ``Machine.run``
-        bookkeeping on the per-call path (that per-call overhead is
-        what the jit tier exists to eliminate); architectural pc/halted
-        and the ``machine_runs_total`` counter are maintained exactly
-        as :meth:`Machine.run` would.  The function is re-fetched from
-        the machine's cache on every call so trace invalidation (and
-        fault-campaign poisoning) takes effect immediately.
+        Returns ``(engine_ran, cycles, instructions)``.  For aot the
+        machine-level fused function is called directly — no
+        ``Machine.run`` bookkeeping on the per-call path; architectural
+        pc/halted and the ``machine_runs_total`` counter are maintained
+        exactly as :meth:`Machine.run` would.  The function is
+        re-fetched from the machine's cache on every call so trace
+        invalidation (and fault-campaign poisoning) takes effect
+        immediately.
         """
         machine = self.machine
         if engine == "aot" and not machine._trace_hooks:
@@ -422,34 +387,62 @@ class KernelRunner:
                 telemetry.record_machine_run("aot")
                 return "aot", aotfn.cycles, aotfn.instructions_retired
             telemetry.record_aot_demotion("not_compilable")
-            engine = "jit"
-        if engine == "jit" and not machine._trace_hooks:
-            jitfn = machine._jit_for(self.entry)
-            if jitfn is not None:
-                state = machine.state
-                jitfn.fn(state.regs._regs, DEFAULT_STACK_TOP)
-                state.pc = jitfn.exit_pc
-                state.halted = jitfn.halts
-                telemetry.record_machine_run("jit")
-                return "jit", jitfn.cycles, jitfn.instructions_retired
+            engine = "replay"
         result = machine.run(self.entry, engine=engine)
         return result.engine, result.cycles, result.instructions_retired
+
+    def _finish(self, values, value: int, limbs, cycles, instructions,
+                engine: str, check: bool) -> KernelRun:
+        """Reference check, cycle guard and per-run telemetry shared by
+        every execution path; returns the :class:`KernelRun`."""
+        kernel = self.kernel
+        if check:
+            expected = kernel.reference(*values)
+            if value != expected:
+                telemetry.record_kernel_check_failure(kernel.name)
+                raise KernelError(
+                    f"{kernel.name} produced {value:#x}, "
+                    f"expected {expected:#x} for inputs "
+                    f"{[hex(v) for v in values]}"
+                )
+        if cycles is None:
+            # a zero count would silently corrupt every downstream table
+            raise KernelError(
+                f"{kernel.name}: execution produced no cycle count "
+                f"(the runner's machine lost its pipeline model)"
+            )
+        # ``engine`` reports the engine that actually ran (an aot or
+        # replay request can demote, e.g. when a profiler hook is
+        # attached)
+        telemetry.record_kernel_run(kernel.name, engine, cycles,
+                                    instructions)
+        return KernelRun(
+            value=value,
+            limbs=limbs,
+            instructions=instructions,
+            cycles=cycles,
+        )
+
+    def _check_engine(self, engine: str) -> str:
+        if engine not in ENGINES:
+            raise KernelError(
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
+        return engine
 
     def run(
         self,
         *values: int,
         check: bool = True,
-        replay: bool | None = None,
         engine: str | None = None,
     ) -> KernelRun:
         """Execute the kernel on *values*; returns the result and cost.
 
         ``engine`` selects the execution tier (``None`` uses the
-        constructor default; the legacy ``replay`` flag maps ``True`` to
-        ``"replay"`` and ``False`` to ``"interpreter"``).  Whatever the
-        tier, the result is bit- and cycle-identical to the
-        interpreter's, just cheaper to produce; unsatisfiable requests
-        demote down the aot -> jit -> replay -> interpreter ladder.
+        constructor default).  Whatever the tier, the result is bit- and
+        cycle-identical to the interpreter's, just cheaper to produce;
+        unsatisfiable requests demote down the aot -> replay ->
+        interpreter ladder.
         """
         kernel = self.kernel
         if len(values) != len(kernel.input_limbs):
@@ -457,17 +450,9 @@ class KernelRunner:
                 f"{kernel.name} expects {len(kernel.input_limbs)} "
                 f"operands, got {len(values)}"
             )
-        radix = kernel.context.radix
         machine = self.machine
-        if engine is None:
-            if replay is None:
-                engine = self.engine
-            else:
-                engine = "replay" if replay else "interpreter"
-        elif engine not in ENGINES:
-            raise KernelError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        engine = self.engine if engine is None else self._check_engine(
+            engine)
 
         if (engine == "aot" and self._hardening is None
                 and not machine._trace_hooks):
@@ -480,74 +465,13 @@ class KernelRunner:
             if thunk is not None:
                 out = thunk(*values)
                 if out is not None:
-                    value, out_limbs, cycles, instructions = out
-                    telemetry.record_aot_cache_hit()
                     telemetry.record_machine_run("aot")
-                    if check:
-                        expected = kernel.reference(*values)
-                        if value != expected:
-                            telemetry.record_kernel_check_failure(
-                                kernel.name)
-                            raise KernelError(
-                                f"{kernel.name} produced {value:#x}, "
-                                f"expected {expected:#x} for inputs "
-                                f"{[hex(v) for v in values]}"
-                            )
-                    if cycles is None:
-                        raise KernelError(
-                            f"{kernel.name}: execution produced no "
-                            f"cycle count (the runner's machine lost "
-                            f"its pipeline model)"
-                        )
-                    telemetry.record_kernel_run(
-                        kernel.name, "aot", cycles, instructions)
-                    return KernelRun(
-                        value=value,
-                        limbs=out_limbs,
-                        instructions=instructions,
-                        cycles=cycles,
-                    )
-        if (engine == "jit" and self._hardening is None
-                and not machine._trace_hooks):
-            # fused fast path: one generated thunk does limb split,
-            # operand stores, register init, the compiled call and the
-            # read-out; falls through (None) if the compiled function
-            # was evicted or an operand is out of range
-            thunk = self._entry_thunk
-            if thunk is not None:
-                out = thunk(*values)
-                if out is not None:
-                    value, out_limbs, cycles, instructions = out
-                    telemetry.record_jit_cache_hit()
-                    telemetry.record_machine_run("jit")
-                    if check:
-                        expected = kernel.reference(*values)
-                        if value != expected:
-                            telemetry.record_kernel_check_failure(
-                                kernel.name)
-                            raise KernelError(
-                                f"{kernel.name} produced {value:#x}, "
-                                f"expected {expected:#x} for inputs "
-                                f"{[hex(v) for v in values]}"
-                            )
-                    if cycles is None:
-                        raise KernelError(
-                            f"{kernel.name}: execution produced no "
-                            f"cycle count (the runner's machine lost "
-                            f"its pipeline model)"
-                        )
-                    telemetry.record_kernel_run(
-                        kernel.name, "jit", cycles, instructions)
-                    return KernelRun(
-                        value=value,
-                        limbs=out_limbs,
-                        instructions=instructions,
-                        cycles=cycles,
-                    )
+                    return self._finish(values, *out, "aot", check)
         engine = self._resolve_engine(engine)
 
+        radix = kernel.context.radix
         if engine != "interpreter":
-            # lean path: traces and jit functions run from architectural
+            # lean path: traces and aot functions run from architectural
             # reset, so zeroing the register list is the only state to
             # restore (the pipeline model is bypassed, not mutated)
             self._marshal_args(values)
@@ -588,30 +512,32 @@ class KernelRunner:
                     # raises FaultDetectedError on divergence, before
                     # the run is recorded anywhere downstream
                     self._verify(values, value, cycles, ran)
-        if check:
-            expected = kernel.reference(*values)
-            if value != expected:
-                telemetry.record_kernel_check_failure(kernel.name)
-                raise KernelError(
-                    f"{kernel.name} produced {value:#x}, "
-                    f"expected {expected:#x} for inputs "
-                    f"{[hex(v) for v in values]}"
-                )
-        if cycles is None:
-            # a zero count would silently corrupt every downstream table
-            raise KernelError(
-                f"{kernel.name}: execution produced no cycle count "
-                f"(the runner's machine lost its pipeline model)"
+        return self._finish(values, value, out_limbs, cycles,
+                            instructions, ran, check)
+
+    def _batch_thunk(self, engine: str):
+        """The fused per-item thunk for *engine*, or ``None``.
+
+        aot uses its entry thunk; replay builds its batch thunk lazily
+        (:func:`~repro.rv64.replay.compile_batch_thunk`) on first use.
+        """
+        if engine == "aot":
+            return self._aot_thunk
+        if self._replay_thunk is None:
+            from repro.rv64.replay import compile_batch_thunk
+
+            kernel = self.kernel
+            thunk = compile_batch_thunk(
+                self.machine, self.entry,
+                arg_plan=self._arg_plan,
+                result_reg=self._result_reg,
+                result_addr=RESULT_ADDR,
+                out_limbs=kernel.output_limbs,
+                radix=kernel.context.radix,
+                stack_top=DEFAULT_STACK_TOP,
             )
-        # ``ran`` reports the engine that actually ran (a jit or replay
-        # request can demote, e.g. when a profiler hook is attached)
-        telemetry.record_kernel_run(kernel.name, ran, cycles, instructions)
-        return KernelRun(
-            value=value,
-            limbs=out_limbs,
-            instructions=instructions,
-            cycles=cycles,
-        )
+            self._replay_thunk = thunk if thunk is not None else False
+        return self._replay_thunk or None
 
     def run_batch(
         self,
@@ -625,13 +551,12 @@ class KernelRunner:
         Semantically identical to ``[self.run(*v) for v in
         operand_sets]`` — same values, limbs, cycle counts, and
         per-run ``kernel_runs_total`` accounting — but the fast tiers
-        resolve the engine, compiled trace / jit function, and cycle
-        cost **once** and then loop only the marshal/execute/read-out
-        core per item.  One extra ``kernel_batches_total`` /
+        resolve the engine and the fused thunk **once** and then loop
+        only the thunk per item.  One extra ``kernel_batches_total`` /
         ``kernel_batch_items_total`` sample records the batching
         itself.  Hardened runners (checked mode or an armed fault
-        hook) and interpreter runs take the exact scalar path per item
-        so every safety check still fires.
+        hook), interpreter runs and layouts without a thunk take the
+        exact scalar path per item so every safety check still fires.
         """
         kernel = self.kernel
         operand_sets = [tuple(values) for values in operand_sets]
@@ -642,57 +567,20 @@ class KernelRunner:
                     f"{kernel.name} expects {arity} operands, "
                     f"got {len(values)}"
                 )
-        if engine is None:
-            engine = self.engine
-        elif engine not in ENGINES:
-            raise KernelError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        engine = self._resolve_engine(engine)
-        machine = self.machine
-        if (engine == "interpreter" or self._hardening is not None
-                or machine._trace_hooks):
+        engine = self._resolve_engine(
+            self.engine if engine is None else self._check_engine(engine))
+        thunk = None
+        if (engine != "interpreter" and self._hardening is None
+                and not self.machine._trace_hooks):
+            thunk = self._batch_thunk(engine)
+        if thunk is None:
             runs = [self.run(*values, check=check, engine=engine)
                     for values in operand_sets]
-            telemetry.record_kernel_batch(kernel.name, engine, len(runs))
-            return runs
-
-        mem = machine.mem
-        state = machine.state
-        regs = state.regs._regs
-        radix = kernel.context.radix
-        arg_plan = self._arg_plan
-        result_reg = self._result_reg
-        out_bytes = 8 * kernel.output_limbs
-        name = kernel.name
-        reference = kernel.reference if check else None
-        record_run = telemetry.record_kernel_run
-        record_machine = telemetry.record_machine_run
-        if engine == "aot":
-            thunk = self._aot_thunk
-        elif engine == "jit":
-            thunk = self._entry_thunk
         else:
-            thunk = self._replay_thunk
-            if thunk is None:
-                from repro.rv64.jit import compile_entry
-
-                thunk = compile_entry(
-                    machine, self.entry,
-                    arg_plan=arg_plan,
-                    result_reg=result_reg,
-                    result_addr=RESULT_ADDR,
-                    out_limbs=kernel.output_limbs,
-                    radix=radix,
-                    stack_top=DEFAULT_STACK_TOP,
-                    tier="replay",
-                )
-                self._replay_thunk = thunk if thunk is not None else False
-            if thunk is False:
-                thunk = None
-        if thunk is not None:
             # fused batch loop: the generated thunk per item, nothing
             # else (per-item telemetry mirrors the scalar path)
+            finish = self._finish
+            record_machine = telemetry.record_machine_run
             runs = []
             for values in operand_sets:
                 out = thunk(*values)
@@ -700,118 +588,9 @@ class KernelRunner:
                     runs.append(self.run(*values, check=check,
                                          engine=engine))
                     continue
-                value, out_limbs, cycles, instructions = out
-                if reference is not None:
-                    expected = reference(*values)
-                    if value != expected:
-                        telemetry.record_kernel_check_failure(name)
-                        raise KernelError(
-                            f"{name} produced {value:#x}, expected "
-                            f"{expected:#x} for inputs "
-                            f"{[hex(v) for v in values]}"
-                        )
-                if cycles is None:
-                    raise KernelError(
-                        f"{name}: execution produced no cycle count "
-                        f"(the runner's machine lost its pipeline "
-                        f"model)"
-                    )
-                if engine == "jit":
-                    telemetry.record_jit_cache_hit()
-                elif engine == "aot":
-                    telemetry.record_aot_cache_hit()
                 record_machine(engine)
-                record_run(name, engine, cycles, instructions)
-                runs.append(KernelRun(
-                    value=value,
-                    limbs=out_limbs,
-                    instructions=instructions,
-                    cycles=cycles,
-                ))
-            telemetry.record_kernel_batch(name, engine, len(runs))
-            return runs
-        if engine == "aot":
-            # memory-exact machine-level variant (the entry thunk is
-            # absent here, e.g. the fuse was rejected for the thunk's
-            # stricter static-addressing contract)
-            aotfn = (machine._aot_cache.get(self.entry)
-                     or machine._aot_for(self.entry))
-            fn = aotfn.fn
-            cycles = aotfn.cycles
-            instructions = aotfn.instructions_retired
-            exit_pc, halts = aotfn.exit_pc, aotfn.halts
-
-            def execute() -> None:
-                fn(regs, DEFAULT_STACK_TOP)
-        elif engine == "jit":
-            jitfn = (machine._jit_cache.get(self.entry)
-                     or machine._jit_for(self.entry))
-            fn = jitfn.fn
-            cycles = jitfn.cycles
-            instructions = jitfn.instructions_retired
-            exit_pc, halts = jitfn.exit_pc, jitfn.halts
-
-            def execute() -> None:
-                fn(regs, DEFAULT_STACK_TOP)
-        else:
-            trace = machine._trace_for(self.entry)
-            steps = trace.steps
-            cycles = trace.cycles
-            instructions = trace.instructions_retired
-            exit_pc, halts = trace.exit_pc, trace.halts
-
-            def execute() -> None:
-                regs[1] = HALT_ADDRESS
-                regs[2] = DEFAULT_STACK_TOP
-                for step in steps:
-                    step()
-        if cycles is None:
-            raise KernelError(
-                f"{kernel.name}: execution produced no cycle count "
-                f"(the runner's machine lost its pipeline model)"
-            )
-        runs: list[KernelRun] = []
-        for values in operand_sets:
-            regs[:] = _ZERO_REGS
-            for value, (address, limbs, reg_index) in zip(
-                values, arg_plan
-            ):
-                mem.write_bytes(address, b"".join(
-                    w.to_bytes(8, "little")
-                    for w in radix.to_limbs(value, limbs=limbs)
-                ))
-                regs[reg_index] = address
-            regs[result_reg] = RESULT_ADDR
-            execute()
-            raw = mem.read_bytes(RESULT_ADDR, out_bytes)
-            out_limbs = tuple(
-                int.from_bytes(raw[i:i + 8], "little")
-                for i in range(0, out_bytes, 8)
-            )
-            value = radix.from_limbs(list(out_limbs))
-            if reference is not None:
-                expected = reference(*values)
-                if value != expected:
-                    telemetry.record_kernel_check_failure(name)
-                    raise KernelError(
-                        f"{name} produced {value:#x}, expected "
-                        f"{expected:#x} for inputs "
-                        f"{[hex(v) for v in values]}"
-                    )
-            if engine == "jit":
-                telemetry.record_jit_cache_hit()
-            record_machine(engine)
-            record_run(name, engine, cycles, instructions)
-            runs.append(KernelRun(
-                value=value,
-                limbs=out_limbs,
-                instructions=instructions,
-                cycles=cycles,
-            ))
-        if runs:
-            state.pc = exit_pc
-            state.halted = halts
-        telemetry.record_kernel_batch(name, engine, len(runs))
+                runs.append(finish(values, *out, engine, check))
+        telemetry.record_kernel_batch(kernel.name, engine, len(runs))
         return runs
 
     def measure_cycles(self, *values: int) -> int:
@@ -840,11 +619,9 @@ def run_kernel(
     *values: int,
     pipeline_config: PipelineConfig = ROCKET_CONFIG,
     check: bool = True,
-    replay: bool = False,
-    engine: str | None = None,
+    engine: str = "interpreter",
 ) -> KernelRun:
     """One-shot convenience wrapper."""
     return KernelRunner(
-        kernel, pipeline_config=pipeline_config, replay=replay,
-        engine=engine,
+        kernel, pipeline_config=pipeline_config, engine=engine,
     ).run(*values, check=check)

@@ -1,14 +1,15 @@
 """AOT whole-kernel compilation: fuse a trace into limb arithmetic.
 
-The fourth (fastest) execution tier.  The jit tier
-(:mod:`repro.rv64.jit`) already collapsed per-step closure dispatch,
-but it still emits **one Python statement per traced instruction**:
-every ``maddlu``/``maddhu``/carry chain pays a statement boundary, a
-local-variable store and (for loads/stores) a page branch, even though
-the whole kernel is one pure dataflow graph over the operand values.
+The fastest execution tier.  The replay engine
+(:mod:`repro.rv64.replay`) removed fetch/decode/timing from the per-run
+cost, but it still pays **one Python closure call per traced
+instruction**: every ``maddlu``/``maddhu``/carry chain pays a call, a
+register-list subscript per operand and (for loads/stores) a page
+branch, even though the whole kernel is one pure dataflow graph over
+the operand values.
 
-:func:`compile_aot_entry` removes that too.  It *symbolically executes*
-the replay trace over expression nodes instead of integers:
+:func:`compile_aot_entry` removes all of that.  It *symbolically
+executes* the replay trace over expression nodes instead of integers:
 
 * the operand buffers become whole-operand atoms (``v0``, ``v1``);
   ``ld`` from an operand span folds into the limb-extraction expression
@@ -26,13 +27,12 @@ the replay trace over expression nodes instead of integers:
 * the full 32-register writeback, architectural ``pc``/``halted`` and
   the trace's **precomputed static cycle accounting** are attached
   verbatim, so the differential suite's register-file comparison and
-  the golden cycle snapshot hold bit-for-bit (the same contract as the
-  jit tier, see ``tests/differential/``).
+  the golden cycle snapshot hold bit-for-bit (see
+  ``tests/differential/``).
 
-Expression semantics come from the *same* template table as the jit
-tier (:data:`repro.rv64.jit._ALU_R_EXPR` / ``_ALU_I_EXPR`` are imported,
-not re-typed) and extension packages register theirs via
-:func:`register_expr` — one algebra, three tiers, no drift.  Anything
+Expression semantics come from one template table: the base ALU
+algebra below (:data:`_ALU_R_EXPR` / :data:`_ALU_I_EXPR`) and whatever
+extension packages register via :func:`register_expr`.  Anything
 without a template falls back to the *extracted* interpreter ``op``
 lambda bound into the namespace (correct, but it marks the artifact
 non-persistable: a bound lambda cannot round-trip through the disk
@@ -56,8 +56,7 @@ Compilation *refuses* with :class:`AotError` (``reason`` is one of
 exact: no replay trace, an instruction without a template or extracted
 lambda, a data-dependent address, a memory access outside the
 forwardable regions, or a codegen failure.  Callers demote one rung
-down the aot → jit → replay → interpreter ladder
-(see ``docs/ROBUSTNESS.md``).
+down the aot → replay → interpreter ladder (see ``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from typing import Callable, TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.rv64.bits import MASK64, s32, u64
 from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R
-from repro.rv64.jit import _ALU_I_EXPR, _ALU_R_EXPR
 from repro.rv64.machine import DEFAULT_STACK_TOP, HALT_ADDRESS
 from repro.rv64.replay import _extract_alu_op
 
@@ -84,7 +82,7 @@ class AotError(SimulationError):
 
     ``reason`` is a short machine-readable code used by telemetry's
     ``aot_rejects_total{reason=...}`` counter; the caller demotes to
-    the jit tier (which may itself demote further down the ladder).
+    the replay tier (which may itself fall back to the interpreter).
     """
 
     code = "aot"
@@ -101,7 +99,7 @@ class AotError(SimulationError):
 
 #: Run-level demotion reasons recorded by ``aot_demotions_total``:
 #: the compile refusals surface as ``not_compilable`` plus the same
-#: situational demotions the jit tier knows.
+#: situational demotions the replay tier knows.
 DEMOTION_REASONS = ("not_compilable", "trace_hooks", "no_setup_return")
 
 
@@ -116,7 +114,7 @@ _DEPTH_CAP = 24
 
 #: Recursion headroom for rendering very long dependence chains (one
 #: temporary materialisation per node still recurses through the
-#: emitter); RecursionError beyond this demotes to the jit tier.
+#: emitter); RecursionError beyond this demotes to the replay tier.
 _RECURSION_LIMIT = 10_000
 
 _FOLD_GLOBALS = {"__builtins__": {}, "M": MASK64}
@@ -169,8 +167,42 @@ def _op(template: str, children: tuple) -> _Node:
 
 
 # ---------------------------------------------------------------------------
-# Expression registry (shared algebra with the jit templates)
+# Expression registry
 # ---------------------------------------------------------------------------
+
+# The same 64-bit wrap-around algebra the interpreter lambdas in
+# repro.rv64.isa implement; placeholders: {a}=rs1, {b}=rs2 (both values
+# in [0, 2^64)), {sa}/{sb}=their s64 reinterpretation,
+# {imm}=sign-extended immediate, {uimm}=u64(imm), {sh}=imm & 63.
+
+_ALU_R_EXPR = {
+    "add": "({a} + {b}) & M",
+    "sub": "({a} - {b}) & M",
+    "xor": "{a} ^ {b}",
+    "or": "{a} | {b}",
+    "and": "{a} & {b}",
+    "slt": "1 if {sa} < {sb} else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "sll": "({a} << ({b} & 63)) & M",
+    "srl": "{a} >> ({b} & 63)",
+    "sra": "({sa} >> ({b} & 63)) & M",
+    "mul": "({a} * {b}) & M",
+    "mulh": "(({sa} * {sb}) >> 64) & M",
+    "mulhsu": "(({sa} * {b}) >> 64) & M",
+    "mulhu": "({a} * {b}) >> 64",
+}
+
+_ALU_I_EXPR = {
+    "addi": "({a} + {imm}) & M",
+    "xori": "({a} ^ {imm}) & M",
+    "ori": "{a} | {uimm}",
+    "andi": "{a} & {uimm}",
+    "slti": "1 if {sa} < {imm} else 0",
+    "sltiu": "1 if {a} < {uimm} else 0",
+    "slli": "({a} << {sh}) & M",
+    "srli": "{a} >> {sh}",
+    "srai": "({sa} >> {sh}) & M",
+}
 
 #: ``mnemonic -> (kind, expr)``; kind is one of ``"r"`` ({a}/{b}),
 #: ``"i"`` ({a}/{imm}/{uimm}/{sh}), ``"r4"`` ({a}/{b}/{c}),
@@ -610,9 +642,9 @@ class AotEntry:
 class AotFunction:
     """The machine-level fused function (``Machine.run(engine="aot")``).
 
-    Mirrors :class:`~repro.rv64.jit.JitFunction`: ``fn(regs,
-    stack_top)`` is memory-exact (runtime stores land in the machine's
-    memory), and the trace's static cost/histogram ride along verbatim.
+    ``fn(regs, stack_top)`` is memory-exact (runtime stores land in the
+    machine's memory), and the trace's static cost/histogram ride along
+    verbatim.
     """
 
     entry: int
@@ -670,7 +702,7 @@ def compile_aot_entry(
     The liveness guard re-reads ``machine._aot_entry_cache`` on every
     call: poisoning or invalidation pops the entry, the thunk returns
     ``None``, and the caller demotes — the same eviction contract as
-    the jit tier's per-call cache fetch.
+    the replay batch thunk's per-call trace fetch.
     """
     trace = _trace_or_refuse(machine, entry)
     bits = radix.bits
@@ -814,11 +846,11 @@ def compile_aot(machine: Machine, entry: int) -> AotFunction:
 
     Same symbolic core as :func:`compile_aot_entry`, but register
     inputs stay live atoms and memory accesses stay runtime effects in
-    program order, so the function is a drop-in replacement for a jit
-    function: ``fn(regs, stack_top)`` leaves registers *and memory*
-    exactly as the interpreter would.
+    program order, so the function is a drop-in replacement for a
+    replayed trace: ``fn(regs, stack_top)`` leaves registers *and
+    memory* exactly as the interpreter would.
 
-    Raises :class:`AotError`; the caller demotes to the jit tier.
+    Raises :class:`AotError`; the caller demotes to the replay tier.
     """
     trace = _trace_or_refuse(machine, entry)
     regs: list[_Node] = [_atom(f"r{i}") for i in range(32)]

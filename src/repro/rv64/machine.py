@@ -34,7 +34,7 @@ HALT_ADDRESS = 0x0000_0000_DEAD_0000
 DEFAULT_STACK_TOP = 0x0000_0000_7FFF_F000
 
 #: The execution tiers of :meth:`Machine.run`, slowest to fastest.
-ENGINES = ("interpreter", "replay", "jit", "aot")
+ENGINES = ("interpreter", "replay", "aot")
 
 TraceHook = Callable[["MachineState", Instruction], None]
 
@@ -45,7 +45,7 @@ class ExecutionResult:
 
     ``engine`` names the execution engine that *actually* ran — one of
     :data:`ENGINES` — which matters because a requested engine silently
-    demotes down the aot → jit → replay → interpreter ladder when
+    demotes down the aot → replay → interpreter ladder when
     exactness cannot be guaranteed (trace hooks attached,
     non-replayable or non-compilable program, ``setup_return=False``).
     Telemetry and profiling must consume this field rather than echo
@@ -103,9 +103,6 @@ class Machine:
         # decode-once/replay-many caches (see repro.rv64.replay)
         self._trace_cache: dict[int, object] = {}
         self._replay_rejected: set[int] = set()
-        # trace-JIT caches (see repro.rv64.jit)
-        self._jit_cache: dict[int, object] = {}
-        self._jit_rejected: set[int] = set()
         # whole-kernel aot caches (see repro.rv64.aot):
         # _aot_cache holds machine-level AotFunctions for run();
         # _aot_entry_cache holds KernelRunner entry thunks and doubles
@@ -136,8 +133,6 @@ class Machine:
             self._program[base + 4 * index] = (ins, spec)
         self._trace_cache.clear()
         self._replay_rejected.clear()
-        self._jit_cache.clear()
-        self._jit_rejected.clear()
         self._aot_cache.clear()
         self._aot_rejected.clear()
         self._aot_entry_cache.clear()
@@ -154,9 +149,9 @@ class Machine:
     def add_trace_hook(self, hook: TraceHook) -> None:
         """Register *hook* to observe every retired instruction.
 
-        While any hook is attached, ``run(replay=True)`` falls back to
-        the interpreter: replay skips per-instruction dispatch, so it
-        cannot deliver per-instruction callbacks.
+        While any hook is attached, fast-engine runs fall back to the
+        interpreter: replay and aot skip per-instruction dispatch, so
+        they cannot deliver per-instruction callbacks.
         """
         self._trace_hooks.append(hook)
 
@@ -201,8 +196,7 @@ class Machine:
         *,
         setup_return: bool = True,
         stack_top: int = DEFAULT_STACK_TOP,
-        replay: bool = False,
-        engine: str | None = None,
+        engine: str = "interpreter",
     ) -> ExecutionResult:
         """Run from *entry* until halt; returns retired-instruction stats.
 
@@ -211,8 +205,7 @@ class Machine:
         ``ret`` ends the simulation — the calling convention used by all
         generated kernels.
 
-        ``engine`` selects the execution tier (one of :data:`ENGINES`;
-        ``None`` honours the legacy ``replay`` flag):
+        ``engine`` selects the execution tier (one of :data:`ENGINES`):
 
         * ``"replay"`` decodes the program once into a compiled trace
           (see :mod:`repro.rv64.replay`) and replays the bound
@@ -222,23 +215,18 @@ class Machine:
           :meth:`reset` (the cycle cost of straight-line code is a
           static property of the trace, so the attached pipeline model
           is left untouched);
-        * ``"jit"`` additionally code-generates the trace into a single
-          Python function (see :mod:`repro.rv64.jit`) — no per-step
-          closure dispatch at all, same bit-exact contract;
         * ``"aot"`` fuses the whole trace into wide-int expression
           dataflow (see :mod:`repro.rv64.aot`) — address arithmetic and
           mask setup constant-fold away, carry chains collapse into
           fused expressions, same bit-exact contract.
 
-        A requested tier silently demotes down the aot → jit → replay
-        → interpreter ladder whenever exactness cannot be guaranteed —
+        A requested tier silently demotes down the aot → replay →
+        interpreter ladder whenever exactness cannot be guaranteed —
         internal control flow, trace hooks, cache-enabled timing,
         ``setup_return=False``, a codegen refusal; the result's
         ``engine`` field reports what actually ran.
         """
-        if engine is None:
-            engine = "replay" if replay else "interpreter"
-        elif engine not in ENGINES:
+        if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
@@ -252,17 +240,6 @@ class Machine:
                 if aotfn is not None:
                     return self._run_aot(aotfn, stack_top)
                 telemetry.record_aot_demotion("not_compilable")
-            engine = "jit"  # demote one rung; jit re-checks below
-        if engine == "jit":
-            if self._trace_hooks:
-                telemetry.record_jit_demotion("trace_hooks")
-            elif not setup_return:
-                telemetry.record_jit_demotion("no_setup_return")
-            else:
-                jitfn = self._jit_for(entry)
-                if jitfn is not None:
-                    return self._run_jit(jitfn, stack_top)
-                telemetry.record_jit_demotion("not_compilable")
             engine = "replay"  # demote one rung; replay re-checks below
         if engine == "replay":
             if self._trace_hooks:
@@ -356,39 +333,10 @@ class Machine:
         """Whether the program at *entry* compiles to a replay trace."""
         return self._trace_for(entry) is not None
 
-    def _jit_for(self, entry: int):
-        """Compile (once) and cache the jit function for *entry*."""
-        jitfn = self._jit_cache.get(entry)
-        if jitfn is not None:
-            telemetry.record_jit_cache_hit()
-            return jitfn
-        if entry in self._jit_rejected:
-            return None
-        from repro.rv64.jit import JitError, compile_jit
-
-        start = perf_counter()
-        try:
-            jitfn = compile_jit(self, entry)
-        except JitError as exc:
-            telemetry.record_jit_reject(exc.reason)
-            self._jit_rejected.add(entry)
-            return None
-        telemetry.record_jit_compile(perf_counter() - start)
-        self._jit_cache[entry] = jitfn
-        return jitfn
-
-    def jit_supported(self, entry: int) -> bool:
-        """Whether the program at *entry* compiles to a jit function."""
-        if entry in self._jit_cache:
-            return True  # capability probe: not a served run, no
-            # jit_cache_hits_total sample (that counter counts runs)
-        return self._jit_for(entry) is not None
-
     def _aot_for(self, entry: int):
         """Compile (once) and cache the fused aot function for *entry*."""
         aotfn = self._aot_cache.get(entry)
         if aotfn is not None:
-            telemetry.record_aot_cache_hit()
             return aotfn
         if entry in self._aot_rejected:
             return None
@@ -414,7 +362,7 @@ class Machine:
         artifact exists to provide.
         """
         if entry in self._aot_cache or entry in self._aot_entry_cache:
-            return True  # capability probe, not a served run
+            return True
         return self._aot_for(entry) is not None
 
     def invalidate_trace(self, entry: int) -> bool:
@@ -424,19 +372,16 @@ class Machine:
         This is the recovery primitive of the hardened execution layer
         (see ``docs/ROBUSTNESS.md``): a trace suspected of corruption is
         invalidated and the next fast-tier run recompiles it from the
-        (immutable) program image.  The compiled jit and aot functions
-        are dropped alongside the trace — they were generated *from*
-        the suspect trace, so restoring trust means evicting every
-        derived tier, including the entry's on-disk aot artifact (the
+        (immutable) program image.  The compiled aot functions are
+        dropped alongside the trace — they were generated *from* the
+        suspect trace, so restoring trust means evicting every derived
+        tier, including the entry's on-disk aot artifact (the
         persisted copy is just the compiled tier serialised).  Previous
         rejections are also forgotten, so a once-unreplayable entry
         gets re-examined.
         """
         self._replay_rejected.discard(entry)
-        self._jit_rejected.discard(entry)
         self._aot_rejected.discard(entry)
-        if self._jit_cache.pop(entry, None) is not None:
-            telemetry.record_jit_evicted()
         dropped_aot = self._aot_cache.pop(entry, None) is not None
         if self._aot_entry_cache.pop(entry, None) is not None:
             dropped_aot = True
@@ -473,26 +418,8 @@ class Machine:
             engine="replay",
         )
 
-    def _run_jit(self, jitfn, stack_top: int) -> ExecutionResult:
-        """Execute a compiled jit function; mirrors one replayed run."""
-        state = self.state
-        jitfn.fn(state.regs._regs, stack_top)
-        state.pc = jitfn.exit_pc
-        state.halted = jitfn.halts
-        telemetry.record_machine_run("jit")
-        return ExecutionResult(
-            instructions_retired=jitfn.instructions_retired,
-            cycles=jitfn.cycles,
-            histogram=(
-                Counter(jitfn.histogram)
-                if self.collect_histogram
-                else Counter()
-            ),
-            engine="jit",
-        )
-
     def _run_aot(self, aotfn, stack_top: int) -> ExecutionResult:
-        """Execute a fused aot function; mirrors one jit run."""
+        """Execute a fused aot function; mirrors one replayed run."""
         state = self.state
         aotfn.fn(state.regs._regs, stack_top)
         state.pc = aotfn.exit_pc

@@ -102,10 +102,8 @@ class CompiledTrace:
 
     ``step_instructions`` records, aligned 1:1 with ``steps``, the
     ``(pc, instruction, spec)`` that produced each step (dropped no-ops
-    are absent from both).  The trace-JIT tier (:mod:`repro.rv64.jit`)
-    consumes this alignment to emit exactly one source block per replay
-    step, so fault injection can corrupt step *k* symmetrically in both
-    tiers.
+    are absent from both).  The aot tier (:mod:`repro.rv64.aot`)
+    symbolically executes this sequence to fuse the whole kernel.
     """
 
     entry: int
@@ -437,3 +435,137 @@ def compile_trace(machine: Machine, entry: int) -> CompiledTrace:
         exit_pc=final_pc + 4 if halts else HALT_ADDRESS,
         step_instructions=tuple(step_instructions),
     )
+
+
+# ---------------------------------------------------------------------------
+# Batch thunk: fused marshal / replay / read-out for KernelRunner.run_batch
+# ---------------------------------------------------------------------------
+
+def _pack_expr(var: str, bits: int, limbs: int) -> str:
+    """Expression packing *var* into ``limbs`` little-endian 64-bit
+    words as one integer (``to_limbs`` then byte-concatenation, fused;
+    the caller guards ``0 <= var < 2^(bits*limbs)``)."""
+    if bits == 64:
+        return var
+    mask = (1 << bits) - 1
+    parts = [f"({var} & {mask})"]
+    for i in range(1, limbs):
+        parts.append(f"((({var} >> {bits * i}) & {mask}) << {64 * i})")
+    return " | ".join(parts)
+
+
+def compile_batch_thunk(
+    machine: Machine,
+    entry: int,
+    *,
+    arg_plan,
+    result_reg: int,
+    result_addr: int,
+    out_limbs: int,
+    radix,
+    stack_top: int,
+):
+    """Generate a fused replay entry thunk for one runner, or ``None``.
+
+    Looping ``Machine.run`` per item pays per-call Python overhead
+    around the replayed steps: limb decomposition (``Radix.to_limbs``),
+    ``Memory.write_bytes`` per operand, register zeroing, the read-out
+    and ``Radix.from_limbs``.  Those are all *static* per kernel — the
+    operand addresses, limb widths and counts never change — so
+    :meth:`~repro.kernels.runner.KernelRunner.run_batch` bakes them into
+    one function::
+
+        thunk(a, b) -> (value, limbs, cycles, instructions) | None
+
+    with the argument/result buffers resolved to ``(page, offset)``
+    pairs at build time (sparse-memory pages are allocated on first
+    touch and then stable, see :mod:`repro.rv64.memory`).
+
+    The trace is re-fetched from the machine's cache **on every call**,
+    so trace invalidation and fault-campaign poisoning keep their exact
+    semantics; the thunk returns ``None`` (caller falls back to the
+    generic path) when the cache is empty or an operand is out of
+    representable range (where ``to_limbs`` would raise).  Returns
+    ``None`` at build time when the layout cannot be specialised
+    (page-crossing or misaligned buffers).
+    """
+    from repro.rv64.machine import HALT_ADDRESS
+
+    mem = machine.state.mem
+    bits = radix.bits
+    spans = []
+    for address, limbs, reg_index in arg_plan:
+        nbytes = 8 * limbs
+        if address % 8 or (address & PAGE_MASK) + nbytes > PAGE_MASK + 1:
+            return None
+        spans.append((mem._page_for(address), address & PAGE_MASK,
+                      limbs, reg_index, address))
+    result_bytes = 8 * out_limbs
+    if (result_addr % 8
+            or (result_addr & PAGE_MASK) + result_bytes > PAGE_MASK + 1):
+        return None
+
+    args = ", ".join(f"v{i}" for i in range(len(spans)))
+    lines = [
+        f"def __replay_entry({args}):",
+        f"    _tr = _cache.get({entry})",
+        "    if _tr is None:",
+        "        return None",
+    ]
+    namespace: dict = {
+        "_cache": machine._trace_cache,
+        "_regs": machine.state.regs._regs,
+        "_zero": [0] * len(machine.state.regs._regs),
+        "_st": machine.state,
+        "_pgR": mem._page_for(result_addr),
+    }
+    for i, (page, offset, limbs, reg_index, address) in enumerate(spans):
+        namespace[f"_pg{i}"] = page
+        lines += [
+            f"    if v{i} < 0 or (v{i} >> {bits * limbs}):",
+            "        return None",  # out of range: generic path raises
+            f"    _pg{i}[{offset}:{offset + 8 * limbs}] = "
+            f"({_pack_expr(f'v{i}', bits, limbs)})"
+            f".to_bytes({8 * limbs}, 'little')",
+        ]
+    lines.append("    _regs[:] = _zero")
+    for _page, _offset, _limbs, reg_index, address in spans:
+        lines.append(f"    _regs[{reg_index}] = {address}")
+    lines += [
+        f"    _regs[{result_reg}] = {result_addr}",
+        # exactly Machine._replay's loop, with the ra/sp setup the
+        # trace expects
+        f"    _regs[1] = {HALT_ADDRESS}",
+        f"    _regs[2] = {stack_top}",
+        "    for _s in _tr.steps:",
+        "        _s()",
+        "    _st.pc = _tr.exit_pc",
+        "    _st.halted = _tr.halts",
+        f"    _raw = _pgR[{result_addr & PAGE_MASK}:"
+        f"{(result_addr & PAGE_MASK) + result_bytes}]",
+    ]
+    for i in range(out_limbs):
+        lines.append(
+            f"    _w{i} = int.from_bytes(_raw[{8 * i}:{8 * i + 8}], "
+            f"'little')"
+        )
+    # from_limbs uses addition, not OR: read-out limbs may be
+    # non-canonical (delayed carries) and overlap bit ranges
+    value_expr = " + ".join(
+        f"_w{i}" if i == 0 else f"(_w{i} << {bits * i})"
+        for i in range(out_limbs)
+    )
+    limbs_expr = ("(" + ", ".join(f"_w{i}" for i in range(out_limbs))
+                  + ("," if out_limbs == 1 else "") + ")")
+    lines.append(
+        f"    return ({value_expr}), {limbs_expr}, "
+        f"_tr.cycles, _tr.instructions_retired"
+    )
+    source = "\n".join(lines) + "\n"
+    try:
+        code = compile(source, f"<replay:{entry:#x}|batch>", "exec")
+        scope = dict(namespace)
+        exec(code, scope)
+        return scope["__replay_entry"]
+    except Exception:  # pragma: no cover - thunks are optional
+        return None    # the generic path is always available

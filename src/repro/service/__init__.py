@@ -5,7 +5,7 @@ Public surface:
 * :class:`KeyExchangeService` — concurrent keygen/exchange/verify
   sessions over the simulated kernel stack, with per-tenant runner
   isolation, request coalescing into ``run_batch``, admission control
-  and the ``aot -> jit -> replay -> interpreter`` degradation ladder;
+  and the ``aot -> replay -> interpreter`` degradation ladder;
 * :class:`TenantConfig` / :func:`default_tenant_configs` — tenant
   policy (engine preference, hardening, lanes, queue bounds);
 * :class:`AdmissionController` — bounded-queue backpressure with the

@@ -17,7 +17,7 @@ model:
   confined to its pool scope — two concurrent sessions can never
   share mutable simulator state (``tests/service/``).
 
-Faults and overload walk tenants down the ``aot -> jit -> replay ->
+Faults and overload walk tenants down the ``aot -> replay ->
 interpreter`` ladder (:mod:`repro.service.tenancy`); a faulting
 operation is retried on the next rung down, so a poisoned compiled
 artifact degrades the one tenant's latency instead of failing its

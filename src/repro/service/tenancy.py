@@ -11,17 +11,17 @@ sessions can ever share a live :class:`~repro.kernels.runner.KernelRunner`
 machine (see :func:`repro.kernels.registry.cached_runner`).
 
 **Degradation ladder.**  Each tenant starts on its preferred engine
-(default ``jit``) and demotes one rung at a time down
-``aot -> jit -> replay -> interpreter``:
+(default ``aot``) and demotes one rung at a time down
+``aot -> replay -> interpreter``:
 
 * on a *fault* — a detected divergence, an exhausted recovery, or a
   simulator crash surfacing from the tenant's own runners — because a
-  corrupted compiled artifact (trace, jit function, or aot thunk) is
-  the prime suspect and the lower tiers re-derive everything from
-  pristine kernel source (invalidation drops the on-disk aot artifact
-  too, so recovery never reloads a suspect copy);
+  corrupted compiled artifact (trace or aot thunk) is the prime
+  suspect and the lower tiers re-derive everything from pristine
+  kernel source (invalidation drops the on-disk aot artifact too, so
+  recovery never reloads a suspect copy);
 * on *overload* — a saturated admission queue — but only down to
-  ``replay``: aot/jit compilation of a cold kernel is a latency spike
+  ``replay``: aot compilation of a cold kernel is a latency spike
   exactly when the queue can least afford one (an aot tenant whose
   artifacts are warm in the disk cache skips that spike).  Overload
   never demotes below ``replay`` (the interpreter is strictly slower
@@ -50,8 +50,8 @@ from repro.kernels import registry
 from repro.kernels.runner import DEFAULT_CHECK_INTERVAL
 from repro.rv64.machine import ENGINES
 
-#: The demotion ladder, fastest first (mirrors Machine's tiers).
-ENGINE_LADDER = ("aot", "jit", "replay", "interpreter")
+#: The demotion ladder, fastest first (Machine's tiers, reversed).
+ENGINE_LADDER = ENGINES[::-1]
 
 #: Overload demotions stop here: dropping to the interpreter would
 #: slow the tenant down ~5x and deepen the very backlog that
@@ -65,7 +65,7 @@ class TenantConfig:
 
     name: str
     #: Preferred (fastest permitted) execution tier.
-    engine: str = "jit"
+    engine: str = "aot"
     #: Checked contexts + supersingularity output validation on every
     #: rung (see docs/ROBUSTNESS.md).  The production posture.
     hardened: bool = False
@@ -254,7 +254,7 @@ class Tenant:
 def default_tenant_configs(
     count: int,
     *,
-    engine: str = "jit",
+    engine: str = "aot",
     hardened: bool = False,
     lanes: int = 2,
     max_queue: int = 16,

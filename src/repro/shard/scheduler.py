@@ -1,7 +1,7 @@
 """Work-stealing shard scheduler over a pool of worker processes.
 
 The :class:`ShardExecutor` owns the control plane: per-worker bounded
-inboxes, one shared result outbox, a contiguous-backlog split with
+inboxes, per-worker result pipes, a contiguous-backlog split with
 work stealing, JSONL checkpointing and the failure ladder (re-queue a
 dead worker's in-flight shards, respawn the worker, give up with a
 stable error code once budgets are burned).
@@ -15,9 +15,16 @@ Two decisions keep it deterministic enough to test hard:
   many times it was re-queued after a crash.  Scheduling is free to be
   racy because the merged result cannot be.
 * **Fork-and-inherit warm-up.**  The parent pre-compiles the kernels
-  (and, for the action, a JIT warm-up context) before forking, so
+  (and, for the action, an aot warm-up context) before forking, so
   every worker inherits the warm pool copy-on-write instead of paying
   per-process compilation.
+
+Each worker replies on a pipe of its own, written by the worker's main
+thread with no feeder thread and replaced on respawn.  A worker that
+dies mid-send therefore corrupts only its own channel: the parent reads
+end-of-file there, treats it as the death it is, and re-queues the
+shards.  (One queue shared by all workers would stay locked by a writer
+killed while holding it, and every other worker would block behind it.)
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from queue import Empty
+from multiprocessing.connection import wait
 
 from repro import telemetry
 from repro.errors import ShardError, ShardExhaustedError
@@ -61,11 +68,12 @@ class ShardRunStats:
 class _Worker:
     """Bookkeeping for one live worker process."""
 
-    __slots__ = ("process", "inbox", "ready", "inflight")
+    __slots__ = ("process", "inbox", "results", "ready", "inflight")
 
-    def __init__(self, process, inbox) -> None:
+    def __init__(self, process, inbox, results) -> None:
         self.process = process
         self.inbox = inbox
+        self.results = results
         self.ready = False
         self.inflight: list[int] = []
 
@@ -78,7 +86,7 @@ class ShardExecutor:
         plan,
         *,
         workers: int | None = None,
-        engine: str = "jit",
+        engine: str = "aot",
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_requeues: int = DEFAULT_MAX_REQUEUES,
         fail_injection: dict | None = None,
@@ -111,7 +119,7 @@ class ShardExecutor:
         of re-tracing per process.
         """
         cached_kernels(self.plan.p)
-        if self.plan.kind == "action" and self.engine in ("jit", "aot"):
+        if self.plan.kind == "action" and self.engine == "aot":
             from repro.field.simulated import SimulatedFieldContext
 
             field = SimulatedFieldContext(
@@ -180,7 +188,6 @@ class ShardExecutor:
 
             nworkers = min(self.workers, len(todo))
             stats.workers = max(stats.workers, nworkers)
-            self._outbox = self._mp.Queue()
             # contiguous split: worker w gets todo[w*len/n : (w+1)*len/n],
             # preserving stream locality; stealing rebalances the tail
             self._backlogs = [
@@ -196,39 +203,27 @@ class ShardExecutor:
             pending = len(todo)
             while pending:
                 self._assign_all()
-                try:
-                    message = self._outbox.get(timeout=0.1)
-                except Empty:
-                    self._reap(stats)
-                    continue
-                tag = message[0]
-                if tag == "ready":
-                    self._workers[message[1]].ready = True
-                elif tag == "done":
-                    _tag, worker_id, record = message
-                    index = record["shard"]
-                    worker = self._workers[worker_id]
-                    if index in worker.inflight:
-                        worker.inflight.remove(index)
-                    if index in records:
-                        continue  # duplicate after a requeue race
-                    records[index] = record
-                    pending -= 1
-                    stats.shards_completed += 1
-                    telemetry.record_shard_completed(
-                        worker_id,
-                        int(record.get("cycles", 0)),
-                        int(record.get("instructions", 0)))
-                    if checkpoint is not None:
-                        checkpoint.write(json.dumps(record) + "\n")
-                        checkpoint.flush()
-                        telemetry.record_shard_checkpoint()
-                else:  # ("error", id, code, message)
-                    _tag, worker_id, code, text = message
-                    self._fail_worker(
-                        worker_id, stats,
-                        reason=f"worker {worker_id} reported "
-                               f"[{code}]: {text}")
+                channels = {worker.results: worker_id
+                            for worker_id, worker
+                            in enumerate(self._workers)}
+                # a death closes the worker's only write end, so it
+                # wakes this wait as end-of-file: no liveness polling
+                for channel in wait(list(channels)):
+                    worker_id = channels[channel]
+                    if self._workers[worker_id].results is not channel:
+                        continue  # respawned earlier in this sweep
+                    try:
+                        message = channel.recv()
+                    except (EOFError, OSError):
+                        process = self._workers[worker_id].process
+                        process.join(timeout=5)
+                        self._fail_worker(
+                            worker_id, stats,
+                            reason=f"worker {worker_id} died "
+                                   f"(exit code {process.exitcode})")
+                        continue
+                    pending -= self._handle(
+                        message, records, checkpoint, stats)
             return records
         finally:
             stats.exec_wall_s += time.perf_counter() - began
@@ -238,19 +233,56 @@ class ShardExecutor:
 
     # -- scheduling internals ------------------------------------------------
 
+    def _handle(self, message, records: dict, checkpoint,
+                stats: ShardRunStats) -> int:
+        """Apply one worker message; return the shards it completed."""
+        tag = message[0]
+        if tag == "ready":
+            self._workers[message[1]].ready = True
+            return 0
+        if tag == "done":
+            _tag, worker_id, record = message
+            index = record["shard"]
+            worker = self._workers[worker_id]
+            if index in worker.inflight:
+                worker.inflight.remove(index)
+            if index in records:
+                return 0  # duplicate after a requeue race
+            records[index] = record
+            stats.shards_completed += 1
+            telemetry.record_shard_completed(
+                worker_id,
+                int(record.get("cycles", 0)),
+                int(record.get("instructions", 0)))
+            if checkpoint is not None:
+                checkpoint.write(json.dumps(record) + "\n")
+                checkpoint.flush()
+                telemetry.record_shard_checkpoint()
+            return 1
+        # ("error", id, code, message)
+        _tag, worker_id, code, text = message
+        self._fail_worker(
+            worker_id, stats,
+            reason=f"worker {worker_id} reported [{code}]: {text}")
+        return 0
+
     def _spawn(self, worker_id: int) -> None:
         inbox = self._mp.Queue(self.queue_depth + 1)
+        results, sender = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=worker_main,
-            args=(worker_id, self._spec, self.engine, inbox,
-                  self._outbox),
+            args=(worker_id, self._spec, self.engine, inbox, sender),
             daemon=True,
         )
         process.start()
+        # the child holds the only write end, so its death reads as EOF
+        sender.close()
+        worker = _Worker(process, inbox, results)
         if worker_id < len(self._workers):
-            self._workers[worker_id] = _Worker(process, inbox)
+            self._workers[worker_id].results.close()
+            self._workers[worker_id] = worker
         else:
-            self._workers.append(_Worker(process, inbox))
+            self._workers.append(worker)
 
     def _assign_all(self) -> None:
         for worker_id, worker in enumerate(self._workers):
@@ -284,16 +316,6 @@ class ShardExecutor:
 
     def _stats_steal(self) -> None:
         self._active_stats.steals += 1
-
-    def _reap(self, stats: ShardRunStats) -> None:
-        for worker_id, worker in enumerate(self._workers):
-            if worker.process is not None \
-                    and not worker.process.is_alive():
-                code = worker.process.exitcode
-                self._fail_worker(
-                    worker_id, stats,
-                    reason=f"worker {worker_id} died "
-                           f"(exit code {code})")
 
     def _fail_worker(self, worker_id: int, stats: ShardRunStats,
                      *, reason: str) -> None:
@@ -337,3 +359,4 @@ class ShardExecutor:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=2)
+            worker.results.close()

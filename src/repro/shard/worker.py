@@ -10,9 +10,9 @@ deltas under the op's recorded span path — the per-shard half of the
 cycle-exact merge (:mod:`repro.shard.merge`).
 
 ``worker_main`` is the process entry point driven by the scheduler's
-queues; it is deliberately dumb (no shared state, no scheduling
-decisions) so a worker crash loses at most the shards it had in
-flight.
+inbox queue and result pipe; it is deliberately dumb (no shared state,
+no scheduling decisions) so a worker crash loses at most the shards it
+had in flight.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ShardRunner:
         self,
         plan: ShardPlan,
         *,
-        engine: str = "jit",
+        engine: str = "aot",
         scope: str = "",
         stream: OpStream | None = None,
     ) -> None:
@@ -142,14 +142,16 @@ def worker_main(worker_id: int, spec: dict, engine: str,
 
     Messages: ``("shard", index, die)`` executes shard *index*
     (``die=True`` makes the process exit hard *instead*, for recovery
-    tests); ``("stop",)`` ends the loop.  Replies on *outbox*:
+    tests); ``("stop",)`` ends the loop.  Replies on *outbox*, a pipe
+    end this worker alone writes, sent from this thread so a reply is
+    fully written before the next message is read:
     ``("ready", id)`` once initialised, then ``("done", id, record)``
     or ``("error", id, code, message)``.
     """
     try:
         telemetry.disable()
         runner = build_runner(spec, engine)
-        outbox.put(("ready", worker_id))
+        outbox.send(("ready", worker_id))
         while True:
             message = inbox.get()
             if message[0] == "stop":
@@ -159,8 +161,8 @@ def worker_main(worker_id: int, spec: dict, engine: str,
                 os._exit(KILLED_EXIT)
             record = runner.execute(index)
             record["worker"] = worker_id
-            outbox.put(("done", worker_id, record))
+            outbox.send(("done", worker_id, record))
     except ReproError as exc:
-        outbox.put(("error", worker_id, exc.code, str(exc)))
+        outbox.send(("error", worker_id, exc.code, str(exc)))
     except BaseException as exc:  # noqa: BLE001 - report, don't vanish
-        outbox.put(("error", worker_id, "shard", repr(exc)))
+        outbox.send(("error", worker_id, "shard", repr(exc)))

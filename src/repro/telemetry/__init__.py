@@ -50,10 +50,8 @@ __all__ = [
     "record_pool_access", "record_machine_run",
     "record_replay_fallback", "record_trace_compile",
     "record_trace_reject",
-    "record_jit_compile", "record_jit_reject", "record_jit_demotion",
-    "record_jit_cache_hit", "record_jit_evicted",
     "record_aot_compile", "record_aot_reject", "record_aot_demotion",
-    "record_aot_cache_hit", "record_aot_evicted",
+    "record_aot_evicted",
     "record_artifact_cache_hit", "record_artifact_cache_miss",
     "record_artifact_cache_write", "record_artifact_invalidated",
     "record_fault_injected", "record_fault_detected",
@@ -238,9 +236,6 @@ def record_trace_reject(reason: str) -> None:
     ).inc(reason=reason)
 
 
-# -- the trace-JIT tier (see repro.rv64.jit) ---------------------------------
-
-
 def record_kernel_batch(kernel: str, engine: str, n: int) -> None:
     """One :meth:`KernelRunner.run_batch` call of *n* operand sets.
 
@@ -257,53 +252,6 @@ def record_kernel_batch(kernel: str, engine: str, n: int) -> None:
     REGISTRY.counter(
         "kernel_batch_items_total", "operand sets executed in batches"
     ).inc(n, kernel=kernel, engine=engine)
-
-
-def record_jit_compile(seconds: float) -> None:
-    """A successful trace-JIT compilation, with its wall-clock cost."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter("jit_compiles_total", "jit functions compiled").inc()
-    REGISTRY.histogram(
-        "jit_compile_seconds", "trace-JIT compilation wall time"
-    ).observe(seconds)
-
-
-def record_jit_reject(reason: str) -> None:
-    """A trace-JIT compilation refusal, by :class:`JitError` reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_rejects_total", "jit compilation refusals"
-    ).inc(reason=reason)
-
-
-def record_jit_demotion(reason: str) -> None:
-    """A requested jit run demoted down the engine ladder, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_demotions_total",
-        "jit requests demoted to replay/interpreter",
-    ).inc(reason=reason)
-
-
-def record_jit_cache_hit() -> None:
-    """A jit run served by an already-compiled function."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_cache_hits_total", "jit function cache hits"
-    ).inc()
-
-
-def record_jit_evicted() -> None:
-    """A compiled jit function dropped by Machine.invalidate_trace."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "jit_evictions_total", "compiled jit functions evicted"
-    ).inc()
 
 
 # -- the aot tier and its persistent artifact cache -------------------------
@@ -335,17 +283,8 @@ def record_aot_demotion(reason: str) -> None:
         return
     REGISTRY.counter(
         "aot_demotions_total",
-        "aot requests demoted to jit/replay/interpreter",
+        "aot requests demoted to replay/interpreter",
     ).inc(reason=reason)
-
-
-def record_aot_cache_hit() -> None:
-    """An aot run served by an already-compiled function."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_cache_hits_total", "aot function cache hits"
-    ).inc()
 
 
 def record_aot_evicted() -> None:

@@ -21,9 +21,11 @@ import sys
 from typing import Callable, TextIO
 
 from repro.errors import ServiceError
+from repro.rv64.machine import ENGINES
 
-#: Ladder tiers in demotion order, for the occupancy line.
-_TIERS = ("jit", "replay", "interpreter")
+#: Ladder tiers in demotion order (fastest first), for the occupancy
+#: line.
+_TIERS = ENGINES[::-1]
 
 
 def _rate(current: float, previous: float | None,

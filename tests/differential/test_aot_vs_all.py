@@ -1,15 +1,15 @@
 """The aot tier must be architecturally and cycle-count identical to
-the interpreter, the replay engine AND the jit tier, for every kernel.
+the interpreter AND the replay engine, for every kernel.
 
-Same discipline as ``test_jit_vs_interpreter.py``, one tier up: each
+Same discipline as ``test_replay_vs_interpreter.py``, one tier up: each
 check runs the *same* runner (same machine, same assembled image)
-through all four engines and compares result limbs, retired
+through all three engines and compares result limbs, retired
 instructions, cycle counts and the complete final register file.  The
 golden cycle snapshot (``tests/golden_cycles.json``) is additionally
 asserted against aot-engine measurements — fusing whole kernels into
 straight-line Python must not move a single pinned number.
 
-On top of the four-way equivalence this module covers the persistent
+On top of the three-way equivalence this module covers the persistent
 artifact cache: a second runner construction against a warm cache
 binds the stored entry thunk without re-tracing, and a corrupted
 artifact file is deleted and silently recompiled.
@@ -35,11 +35,10 @@ from repro.kernels.spec import (
     OP_FP_SUB,
 )
 from repro.rv64.artifacts import cache_dir
+from repro.rv64.machine import ENGINES
 
 from tests.differential.generate_golden import GOLDEN_PATH
 from tests.helpers import boundary_operand_values
-
-ENGINES = ("interpreter", "replay", "jit", "aot")
 
 FIELD_OPERATIONS = (OP_FP_MUL, OP_FP_SQR, OP_FP_ADD, OP_FP_SUB)
 FIELD_KERNELS = [
@@ -69,8 +68,8 @@ def runner_for(name: str) -> KernelRunner:
     return _RUNNERS[name]
 
 
-def assert_four_way_exact(runner: KernelRunner, values) -> None:
-    """One differential observation across all four engines."""
+def assert_three_way_exact(runner: KernelRunner, values) -> None:
+    """One differential observation across all three engines."""
     observed = {}
     for engine in ENGINES:
         run = runner.run(*values, check=False, engine=engine)
@@ -107,12 +106,12 @@ def test_field_kernels_aot_supported(name):
 
 @pytest.mark.parametrize("name", FIELD_KERNELS)
 def test_field_kernels_boundary_operands(name):
-    """Exhaustive cartesian boundary sweep, four engines per point."""
+    """Exhaustive cartesian boundary sweep, three engines per point."""
     runner = runner_for(name)
     per_operand = boundary_operand_values(runner.kernel,
                                           clip_to_domain=False)
     for values in itertools.product(*per_operand):
-        assert_four_way_exact(runner, values)
+        assert_three_way_exact(runner, values)
 
 
 @pytest.mark.parametrize("name", FIELD_KERNELS)
@@ -121,7 +120,7 @@ def test_field_kernels_random_operands(name):
     runner = runner_for(name)
     rng = random.Random(0x717)
     for _ in range(15):
-        assert_four_way_exact(runner, runner.kernel.sampler(rng))
+        assert_three_way_exact(runner, runner.kernel.sampler(rng))
 
 
 def test_every_generated_kernel_is_aot_exact():
@@ -132,7 +131,7 @@ def test_every_generated_kernel_is_aot_exact():
         runner = runner_for(name)
         assert runner.machine.aot_supported(runner.entry), name
         for _ in range(3):
-            assert_four_way_exact(runner, runner.kernel.sampler(rng))
+            assert_three_way_exact(runner, runner.kernel.sampler(rng))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -251,4 +250,4 @@ def test_corrupt_artifact_is_deleted_and_recompiled(monkeypatch,
     assert runner._aot_thunk is not None
 
     rng = random.Random(11)
-    assert_four_way_exact(runner, runner.kernel.sampler(rng))
+    assert_three_way_exact(runner, runner.kernel.sampler(rng))

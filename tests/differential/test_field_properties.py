@@ -97,6 +97,6 @@ def test_replayed_kernel_matches_reference(data):
     name = data.draw(st.sampled_from(_KERNEL_NAMES))
     runner = cached_runner(P, name)
     values = data.draw(kernel_operands(runner.kernel))
-    run = runner.run(*values, check=False, replay=True)
+    run = runner.run(*values, check=False, engine="replay")
     assert run.value == runner.kernel.reference(*values), (
         f"{name} diverges from its reference on {values}")

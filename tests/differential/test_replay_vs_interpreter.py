@@ -54,9 +54,9 @@ def runner_for(name: str) -> KernelRunner:
 
 def assert_replay_exact(runner: KernelRunner, values) -> None:
     """One differential observation: interpreter vs replay."""
-    interp = runner.run(*values, check=False, replay=False)
+    interp = runner.run(*values, check=False, engine="interpreter")
     interp_regs = list(runner.machine.state.regs._regs)
-    rep = runner.run(*values, check=False, replay=True)
+    rep = runner.run(*values, check=False, engine="replay")
     replay_regs = list(runner.machine.state.regs._regs)
 
     name = runner.kernel.name
@@ -121,7 +121,7 @@ def test_replay_histogram_identical(variant):
         machine.reset()
         interp = machine.run(runner.entry)
         machine.reset()
-        rep = machine.run(runner.entry, replay=True)
+        rep = machine.run(runner.entry, engine="replay")
         assert sum(rep.histogram.values()) == rep.instructions_retired
         assert rep.histogram == interp.histogram
     finally:
@@ -132,9 +132,9 @@ def test_trace_is_compiled_once_and_reused():
     runner = runner_for(f"{OP_FP_ADD}.reduced.ise")
     machine = runner.machine
     rng = random.Random(2)
-    runner.run(*runner.kernel.sampler(rng), check=False, replay=True)
+    runner.run(*runner.kernel.sampler(rng), check=False, engine="replay")
     trace_first = machine._trace_cache[runner.entry]
-    runner.run(*runner.kernel.sampler(rng), check=False, replay=True)
+    runner.run(*runner.kernel.sampler(rng), check=False, engine="replay")
     assert machine._trace_cache[runner.entry] is trace_first
 
 
@@ -145,7 +145,7 @@ def test_cache_enabled_timing_falls_back_to_interpreter():
     runner = KernelRunner(
         kernels[f"{OP_FP_MUL}.reduced.ise"],
         pipeline_config=ROCKET_CONFIG_WITH_CACHES,
-        replay=True,
+        engine="replay",
     )
     assert not runner.machine.replay_supported(runner.entry)
     rng = random.Random(3)

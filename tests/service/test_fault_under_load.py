@@ -1,8 +1,9 @@
 """Armed faults with sessions in flight: zero escapes, one-tenant blast.
 
 The hardened service promises (``docs/SERVICE.md``, building on
-``docs/ROBUSTNESS.md``): a poisoned replay trace or compiled jit
-function under concurrent load is *detected* by the checked contexts,
+``docs/ROBUSTNESS.md``): a poisoned replay trace — reached directly,
+or through a dropped aot tier — under concurrent load is *detected* by
+the checked contexts,
 *recovered* within the bounded retry budget, demotes **only** the
 faulted tenant down the engine ladder, and never lets a wrong result
 reach any client — ``divergences == 0`` against the sequential
@@ -63,7 +64,7 @@ async def _load_with_fault(toy, oracle, *, engine: str,
     service = KeyExchangeService(toy, _hardened_pair(engine))
     victim_lane = service.tenants["victim"].lanes[0]
     context = victim_lane.context(engine)
-    context.mul(3, 5)  # build the runner (and its trace/jit caches)
+    context.mul(3, 5)  # build the runner (and its trace/aot caches)
     armed = arm_fault(context._mul, _poison_site(site_name))
     try:
         report = await run_load(
@@ -102,10 +103,10 @@ class TestReplayPoisonUnderLoad:
         assert stats["tenants"]["bystander"]["fault_detections"] == 0
 
 
-class TestJitPoisonUnderLoad:
-    def test_zero_escapes_on_the_jit_tier(self, toy, oracle):
+class TestAotPoisonUnderLoad:
+    def test_zero_escapes_on_the_aot_tier(self, toy, oracle):
         report, stats, context = asyncio.run(_load_with_fault(
-            toy, oracle, engine="jit", site_name="replay_step_skip"))
+            toy, oracle, engine="aot", site_name="replay_step_skip"))
         assert report.divergences == 0
         assert report.fault_detections >= 1
         assert context.fault_recoveries == context.fault_detections
@@ -114,13 +115,13 @@ class TestJitPoisonUnderLoad:
 
 
 class TestOverloadDemotion:
-    def test_saturation_demotes_jit_to_replay_never_lower(self, toy):
-        """Saturating a jit tenant walks it to replay (the overload
+    def test_saturation_demotes_aot_to_replay_never_lower(self, toy):
+        """Saturating an aot tenant walks it to replay (the overload
         floor) — not to the interpreter — and service results stay
         correct throughout."""
 
         async def main():
-            config = TenantConfig("t", engine="jit", lanes=1,
+            config = TenantConfig("t", engine="aot", lanes=1,
                                   max_queue=64)
             async with KeyExchangeService(
                     toy, [config],
@@ -133,7 +134,7 @@ class TestOverloadDemotion:
 
         results, engine, demotions = asyncio.run(main())
         assert results == [(7 * n) % toy.p for n in range(24)]
-        assert demotions == 1       # jit -> replay, then floor holds
+        assert demotions == 1       # aot -> replay, then floor holds
         assert engine == "replay"   # never demoted to the interpreter
 
     def test_clean_streak_promotes_back_to_preference(self, toy):

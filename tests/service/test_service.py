@@ -66,8 +66,8 @@ class TestTenantConfig:
 
 class TestEngineLadder:
     def test_fault_demotion_walks_to_the_interpreter(self, toy):
-        tenant = Tenant(TenantConfig("t", engine="jit"), toy)
-        assert tenant.engine == "jit"
+        tenant = Tenant(TenantConfig("t", engine="aot"), toy)
+        assert tenant.engine == "aot"
         assert tenant.demote("fault")
         assert tenant.engine == "replay"
         assert tenant.demote("fault")
@@ -76,14 +76,14 @@ class TestEngineLadder:
         assert tenant.demotions == 2
 
     def test_overload_demotion_stops_at_replay(self, toy):
-        tenant = Tenant(TenantConfig("t", engine="jit"), toy)
+        tenant = Tenant(TenantConfig("t", engine="aot"), toy)
         assert tenant.demote("overload")
         assert tenant.engine == "replay"
         assert not tenant.demote("overload")
         assert tenant.engine == "replay"
 
     def test_promotion_needs_a_full_clean_streak(self, toy):
-        tenant = Tenant(TenantConfig("t", engine="jit",
+        tenant = Tenant(TenantConfig("t", engine="aot",
                                      promote_after=3), toy)
         tenant.demote("fault")
         tenant.note_result(True)
@@ -93,7 +93,7 @@ class TestEngineLadder:
         tenant.note_result(True)
         assert tenant.engine == "replay"
         tenant.note_result(True)
-        assert tenant.engine == "jit"
+        assert tenant.engine == "aot"
         assert tenant.promotions == 1
 
     def test_never_promotes_past_preference(self, toy):
@@ -105,7 +105,7 @@ class TestEngineLadder:
         assert tenant.promotions == 0
 
     def test_ladder_order_is_fastest_first(self):
-        assert ENGINE_LADDER == ("aot", "jit", "replay", "interpreter")
+        assert ENGINE_LADDER == ("aot", "replay", "interpreter")
 
     def test_scope_prefix_separates_services(self, toy):
         config = TenantConfig("t", lanes=2)
@@ -277,7 +277,7 @@ class TestCli:
         args = parser.parse_args(
             ["serve", "--params", "toy", "--port", "7007"])
         assert args.port == 7007
-        assert args.engine == "jit"
+        assert args.engine == "aot"
         args = parser.parse_args(
             ["load", "--params", "toy", "--hardened"])
         assert args.hardened is True

@@ -11,6 +11,8 @@ are always checked against the monolithic profile — scheduling noise
 from __future__ import annotations
 
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -42,6 +44,21 @@ def _assert_exact(merged, profile):
     assert merged.cycles == profile.simulated_cycles
     assert merged.instructions == profile.simulated_instructions
     assert span_cycle_mismatches(profile.root, merged.root) == []
+
+
+@contextmanager
+def _deadline(seconds):
+    """Turn a stall into a test failure instead of a hung suite."""
+    def expire(_signum, _frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestExecution:
@@ -157,6 +174,17 @@ class TestWorkerFailure:
             toy_plan, workers=2, fail_injection={1: 1, 4: 1})
         assert merged.stats.worker_failures >= 2
         _assert_exact(merged, toy_profile)
+
+    def test_repeated_kills_never_stall(self, toy_plan, toy_profile):
+        """A worker killed right after replying must not wedge the
+        others: each worker owns its result channel, so the two-kill
+        recovery finishes, exactly, on every one of many repeats."""
+        with _deadline(120):
+            for _ in range(25):
+                merged = run_sharded_action(
+                    toy_plan, workers=2, fail_injection={1: 1, 4: 1})
+                assert merged.stats.worker_failures >= 2
+                _assert_exact(merged, toy_profile)
 
     def test_requeue_budget_exhaustion_stable_code(self, toy_plan):
         """A shard that kills every host exhausts its re-queue budget

@@ -50,7 +50,7 @@ class TestRunnerCheckedMode:
     def test_clean_run_passes(self):
         runner = _runner(checked=True)
         ctx = runner.kernel.context
-        run = runner.run(3, ctx.r2_mod_p, replay=True)
+        run = runner.run(3, ctx.r2_mod_p, engine="replay")
         assert run.value == runner.kernel.reference(3, ctx.r2_mod_p)
 
     def test_value_corruption_detected(self):
@@ -58,7 +58,7 @@ class TestRunnerCheckedMode:
         runner.set_fault_hook(
             lambda limbs: (limbs[0] ^ 1,) + limbs[1:])
         with pytest.raises(FaultDetectedError, match="diverged"):
-            runner.run(3, 5, replay=True)
+            runner.run(3, 5, engine="replay")
         runner.clear_fault_hook()
 
     def test_cycle_corruption_detected(self):
@@ -70,7 +70,7 @@ class TestRunnerCheckedMode:
             trace, cycles=trace.cycles + 3)
         try:
             with pytest.raises(FaultDetectedError, match="cycle count"):
-                runner.run(3, 5, replay=True)
+                runner.run(3, 5, engine="replay")
         finally:
             machine._trace_cache[runner.entry] = trace
 
@@ -78,7 +78,7 @@ class TestRunnerCheckedMode:
         runner = _runner(checked=True, interval=4)
         with telemetry.capture(fresh=True) as cap:
             for _ in range(8):
-                runner.run(3, 5, replay=True)
+                runner.run(3, 5, engine="replay")
         checked = cap.registry.counter("checked_runs_total")
         assert checked.total() == 2  # 8 runs / interval 4
 
@@ -101,7 +101,7 @@ class TestRunnerCheckedMode:
         runner = _runner(checked=False, name="fp_add.reduced.ise")
         runner.set_fault_hook(lambda limbs: (limbs[0] ^ 1,) + limbs[1:])
         try:
-            run = runner.run(4, 5, replay=True, check=False)
+            run = runner.run(4, 5, engine="replay", check=False)
             assert run.value != runner.kernel.reference(4, 5)
         finally:
             runner.clear_fault_hook()

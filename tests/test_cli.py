@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.rv64.machine import ENGINES
 
 
 class TestParser:
@@ -124,7 +125,7 @@ class TestBenchCommand:
                      "--rounds", "1", "--batch", "8",
                      "--bench-out", str(out_path)]) == 0
         out = capsys.readouterr().out
-        for engine in ("interpreter", "replay", "jit", "aot"):
+        for engine in ENGINES:
             assert engine in out
         assert "mul_batch" in out
         assert "aot first  start" in out
@@ -134,11 +135,10 @@ class TestBenchCommand:
         assert document["benchmark"] == "protocol"
         record = document["runs"][-1]
         assert record["mode"] == "engine_comparison"
-        assert set(record["engines"]) \
-            == {"interpreter", "replay", "jit", "aot"}
+        assert set(record["engines"]) == set(ENGINES)
         for row in record["engines"].values():
             assert row["wall_s"] > 0
-        assert record["batch"]["jit"]["n"] == 8
+        assert record["batch"]["aot"]["n"] == 8
         # within one invocation the second phase binds the artifacts
         # the first phase just wrote
         start = record["aot_start"]
@@ -168,11 +168,11 @@ class TestBenchCommand:
     def test_faults_engine_flag(self, tmp_path, capsys):
         report_path = tmp_path / "campaign.json"
         assert main(["faults", "--params", "toy", "--n", "4",
-                     "--engine", "jit", "--json",
+                     "--engine", "aot", "--json",
                      str(report_path)]) == 0
         import json as json_module
         document = json_module.loads(report_path.read_text())
-        assert document["engine"] == "jit"
+        assert document["engine"] == "aot"
         assert document["escaped"] == 0
 
 

@@ -149,12 +149,13 @@ class TestSelfHealingEndToEnd:
         assert context.fault_recoveries == context.fault_detections
 
 
-class TestJitFaultSymmetry:
-    """Replay-cache poisoning must reach a live compiled jit function,
-    be detected on the jit tier, and recovery must evict the compiled
-    function — not just the trace."""
+class TestAotFaultSymmetry:
+    """Replay-cache poisoning must take the live fused aot tier out, so
+    runs demote onto the poisoned trace and the fault is detected
+    there, and recovery must hand back a pristine aot runner."""
 
-    def test_poisoning_swaps_and_disarm_restores_the_jit_function(self):
+    def test_poisoning_drops_and_disarm_restores_the_aot_tier(self):
+        from repro import telemetry
         from repro.fault import arm_fault
         from repro.fault.plan import FaultSite
         from repro.kernels.registry import cached_kernels
@@ -163,41 +164,47 @@ class TestJitFaultSymmetry:
         p = csidh_toy().p
         kernels = cached_kernels(p)
         runner = KernelRunner(kernels["fp_mul.reduced.ise"],
-                              engine="jit")
-        runner.run(3, 5, check=False)  # compile the jit function
+                              engine="aot")
         machine = runner.machine
-        pristine = machine._jit_cache[runner.entry]
-        pristine_trace = machine._trace_cache[runner.entry]
+        pristine = machine._aot_entry_cache[runner.entry]
+        pristine_trace = machine._trace_for(runner.entry)
 
         site = FaultSite(index=0, site="replay_step_skip",
                          operation="mul", step=5, bit=0, lane=0,
                          delta=1)
         armed = arm_fault(runner, site)
         try:
-            assert machine._jit_cache[runner.entry] is not pristine
+            assert runner.entry not in machine._aot_entry_cache
+            assert not machine.aot_supported(runner.entry)
             assert machine._trace_cache[runner.entry] \
                 is not pristine_trace
+            # the demoted run executes the poisoned trace
+            with telemetry.capture(fresh=True) as cap:
+                runner.run(3, 5, check=False)
+            runs = cap.registry.counter("machine_runs_total")
+            assert runs.value(engine="replay") == 1
         finally:
             armed.disarm()
-        assert machine._jit_cache[runner.entry] is pristine
+        assert machine._aot_entry_cache[runner.entry] is pristine
         assert machine._trace_cache[runner.entry] is pristine_trace
+        assert machine.aot_supported(runner.entry)
 
-    def test_jit_context_heals_and_evicts_the_compiled_function(self):
+    def test_aot_context_heals_onto_a_fresh_aot_runner(self):
         from repro import telemetry
         from repro.fault import arm_fault
         from repro.fault.plan import FaultSite
 
         p = csidh_toy().p
         context = SimulatedFieldContext(p, checked=True,
-                                        check_interval=1, engine="jit")
+                                        check_interval=1, engine="aot")
         reference = FieldContext(p)
-        context.mul(2, 3)  # compile the jit function before arming
-        assert context._mul.entry in context._mul.machine._jit_cache
+        poisoned = context._mul
+        assert poisoned._aot_thunk is not None
 
         site = FaultSite(index=0, site="replay_step_skip",
                          operation="mul", step=2, bit=13, lane=3,
                          delta=1)
-        armed = arm_fault(context._mul, site)
+        armed = arm_fault(poisoned, site)
         try:
             with telemetry.capture(fresh=True) as cap:
                 for a, b in [(3, 5), (7, 11), (p - 1, p - 2), (42, 81)]:
@@ -206,15 +213,20 @@ class TestJitFaultSymmetry:
             armed.disarm()
         assert context.fault_detections >= 1
         assert context.fault_recoveries == context.fault_detections
-        # recovery dropped the compiled tier, not just the trace
-        evictions = cap.registry.counter("jit_evictions_total")
-        assert evictions.value() >= 1
+        # detected on the replay rung the dropped aot tier demoted to
+        detected = cap.registry.counter("faults_detected_total")
+        assert detected.value(where="fp_mul.reduced.ise",
+                              engine="replay") >= 1
+        # recovery invalidated the trace and rebuilt the runner, which
+        # is back on a live aot thunk
         invalidations = cap.registry.counter("trace_invalidations_total")
         assert invalidations.value() >= 1
+        assert context._mul is not poisoned
+        assert context._mul._aot_thunk is not None
 
-    def test_jit_campaign_no_escapes(self):
+    def test_aot_campaign_no_escapes(self):
         report = run_campaign(csidh_toy().p, seed=1, n=12,
-                              engine="jit")
-        assert report.engine == "jit"
+                              engine="aot")
+        assert report.engine == "aot"
         assert report.escaped == 0
         assert report.recovery_rate >= 0.9

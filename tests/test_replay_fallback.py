@@ -3,7 +3,8 @@
 One test per :class:`~repro.rv64.replay.ReplayError` ``reason`` value:
 each builds a program the trace compiler must refuse, asserts the
 refusal (``trace_rejects_total{reason=...}``), asserts that a
-``run(replay=True)`` on such a program increments the fallback counter
+``run(engine="replay")`` on such a program increments the fallback
+counter
 (``replay_fallback_total{reason="not_replayable"}``), and — where the
 program is runnable at all — that the fallback execution is
 bit-for-bit identical to a plain interpreter run (registers, memory,
@@ -15,19 +16,12 @@ A final guard asserts this file covers every declared reason, so a new
 rejection reason cannot land without its fallback test.
 
 The second half applies the same discipline one tier up: every
-:class:`~repro.rv64.jit.JitError` reason and every demotion reason on
-the jit → replay → interpreter ladder
-(:data:`repro.rv64.jit.DEMOTION_REASONS`) gets a test asserting the
-refusal counter (``jit_rejects_total{reason=...}``), the demotion
-counter (``jit_demotions_total{reason=...}``), the engine that
-actually ran, and bit-for-bit agreement with the plain interpreter.
-
-The third section covers the top rung: every
 :class:`~repro.rv64.aot.AotError` reason and every demotion reason on
-the aot → jit → replay → interpreter ladder
-(:data:`repro.rv64.aot.DEMOTION_REASONS`) gets the same treatment —
-``aot_rejects_total{reason=...}``, ``aot_demotions_total{reason=...}``,
-the engine that served the run, and exactness against the interpreter.
+the aot → replay → interpreter ladder
+(:data:`repro.rv64.aot.DEMOTION_REASONS`) gets a test asserting the
+refusal counter (``aot_rejects_total{reason=...}``), the demotion
+counter (``aot_demotions_total{reason=...}``), the engine that
+actually served the run, and exactness against the interpreter.
 """
 
 from __future__ import annotations
@@ -49,8 +43,6 @@ from repro.rv64.pipeline import (
 from repro.mpi.representation import Radix
 from repro.rv64 import aot as aot_module
 from repro.rv64.aot import AotError, compile_aot, compile_aot_entry
-from repro.rv64 import jit as jit_module
-from repro.rv64.jit import DEMOTION_REASONS, JitError, compile_jit
 from repro.rv64.machine import HALT_ADDRESS
 from repro.rv64.replay import ReplayError, compile_trace
 
@@ -81,12 +73,12 @@ def _assert_rejected(source: str, reason: str, **kwargs) -> None:
 
 def _fallback_matches_interpreter(source: str, reason: str,
                                   **kwargs) -> None:
-    """run(replay=True) falls back and matches run(replay=False)."""
+    """A replay request falls back and matches an interpreter run."""
     with telemetry.capture(fresh=True) as cap:
         replay_machine, entry = _machine(source, **kwargs)
-        replay_result = replay_machine.run(entry, replay=True)
+        replay_result = replay_machine.run(entry, engine="replay")
     plain_machine, entry2 = _machine(source, **kwargs)
-    plain_result = plain_machine.run(entry2, replay=False)
+    plain_result = plain_machine.run(entry2, engine="interpreter")
 
     assert replay_result.engine == "interpreter"
     assert replay_result.instructions_retired \
@@ -165,10 +157,10 @@ class TestUnmapped:
         with telemetry.capture(fresh=True) as cap:
             machine, entry = _machine(self.SOURCE)
             with pytest.raises(SimulationError) as via_replay:
-                machine.run(entry, replay=True)
+                machine.run(entry, engine="replay")
         other, entry2 = _machine(self.SOURCE)
         with pytest.raises(SimulationError) as via_interp:
-            other.run(entry2, replay=False)
+            other.run(entry2, engine="interpreter")
         assert str(via_replay.value) == str(via_interp.value)
         rejects = cap.registry.counter("trace_rejects_total")
         assert rejects.value(reason="unmapped") == 1
@@ -186,10 +178,10 @@ class TestStepLimit:
         with telemetry.capture(fresh=True) as cap:
             machine, entry = _machine(self.SOURCE, max_steps=4)
             with pytest.raises(SimulationError, match="step limit"):
-                machine.run(entry, replay=True)
+                machine.run(entry, engine="replay")
         other, entry2 = _machine(self.SOURCE, max_steps=4)
         with pytest.raises(SimulationError, match="step limit"):
-            other.run(entry2, replay=False)
+            other.run(entry2, engine="interpreter")
         rejects = cap.registry.counter("trace_rejects_total")
         assert rejects.value(reason="step_limit") == 1
         fallbacks = cap.registry.counter("replay_fallback_total")
@@ -205,140 +197,7 @@ def test_every_declared_reason_is_covered():
 
 
 # ---------------------------------------------------------------------------
-# jit demotion ladder: jit → replay → interpreter
-# ---------------------------------------------------------------------------
-
-
-class TestJitNotReplayable:
-    """Unreplayable programs refuse jit for the same root cause, and a
-    jit request demotes all the way to the interpreter."""
-
-    SOURCE = TestControlFlow.SOURCE
-
-    def test_rejected(self):
-        machine, entry = _machine(self.SOURCE)
-        with pytest.raises(JitError) as excinfo:
-            compile_jit(machine, entry)
-        assert excinfo.value.reason == "not_replayable"
-        assert excinfo.value.code == "jit"
-
-    def test_demotes_to_interpreter_bit_for_bit(self):
-        with telemetry.capture(fresh=True) as cap:
-            machine, entry = _machine(self.SOURCE)
-            result = machine.run(entry, engine="jit")
-        plain, entry2 = _machine(self.SOURCE)
-        expected = plain.run(entry2)
-
-        assert result.engine == "interpreter"
-        assert result.instructions_retired \
-            == expected.instructions_retired
-        assert result.cycles == expected.cycles
-        assert machine.regs.snapshot() == plain.regs.snapshot()
-
-        rejects = cap.registry.counter("jit_rejects_total")
-        assert rejects.value(reason="not_replayable") == 1
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="not_compilable") == 1
-        # ...and the replay rung below then falls back too
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
-
-
-class TestJitCodegenError:
-    """A broken emitter makes the generated source fail to compile:
-    jit refuses with ``codegen_error`` and demotes ONE rung — the
-    trace itself is healthy, so the replay engine serves the run."""
-
-    def test_rejected_and_replay_serves(self):
-        original = jit_module._TEMPLATES.get("addi")
-        jit_module._TEMPLATES["addi"] = (
-            lambda ins, pc: "r1 = = broken(")
-        try:
-            machine, entry = _machine(_STRAIGHT)
-            with pytest.raises(JitError) as excinfo:
-                compile_jit(machine, entry)
-            assert excinfo.value.reason == "codegen_error"
-
-            with telemetry.capture(fresh=True) as cap:
-                machine2, entry2 = _machine(_STRAIGHT)
-                result = machine2.run(entry2, engine="jit")
-            assert result.engine == "replay"
-            assert machine2.regs["a0"] == 42
-            rejects = cap.registry.counter("jit_rejects_total")
-            assert rejects.value(reason="codegen_error") == 1
-            demotions = cap.registry.counter("jit_demotions_total")
-            assert demotions.value(reason="not_compilable") == 1
-        finally:
-            if original is None:
-                jit_module._TEMPLATES.pop("addi", None)
-            else:
-                jit_module._TEMPLATES["addi"] = original
-
-
-class TestJitTraceHooks:
-    """An attached trace hook demotes jit (and replay) so the hook
-    observes every retired instruction."""
-
-    def test_demotes_and_hook_fires(self):
-        machine, entry = _machine(_STRAIGHT)
-        seen = []
-        machine.add_trace_hook(lambda state, ins: seen.append(
-            ins.mnemonic))
-        with telemetry.capture(fresh=True) as cap:
-            result = machine.run(entry, engine="jit")
-        assert result.engine == "interpreter"
-        assert len(seen) == result.instructions_retired
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="trace_hooks") == 1
-        assert machine.regs["a0"] == 42
-
-
-class TestJitNoSetupReturn:
-    """``setup_return=False`` means the caller owns ra/sp; jit cannot
-    reproduce that from-reset contract and demotes."""
-
-    def test_demotes_and_matches_interpreter(self):
-        machine, entry = _machine(_STRAIGHT)
-        machine.state.regs.write("ra", HALT_ADDRESS)
-        with telemetry.capture(fresh=True) as cap:
-            result = machine.run(entry, setup_return=False,
-                                 engine="jit")
-        plain, entry2 = _machine(_STRAIGHT)
-        plain.state.regs.write("ra", HALT_ADDRESS)
-        expected = plain.run(entry2, setup_return=False)
-
-        assert result.engine == "interpreter"
-        assert result.cycles == expected.cycles
-        assert machine.regs.snapshot() == plain.regs.snapshot()
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="no_setup_return") == 1
-
-
-def test_jit_rejection_is_cached_not_retried():
-    """A refused entry is remembered; later jit requests demote
-    without re-running the code generator."""
-    with telemetry.capture(fresh=True) as cap:
-        machine, entry = _machine(TestControlFlow.SOURCE)
-        machine.run(entry, engine="jit")
-        machine.run(entry, engine="jit")
-        rejects = cap.registry.counter("jit_rejects_total")
-        assert rejects.value(reason="not_replayable") == 1
-        demotions = cap.registry.counter("jit_demotions_total")
-        assert demotions.value(reason="not_compilable") == 2
-
-
-def test_every_declared_jit_reason_is_covered():
-    """A new JitError.reason or demotion reason cannot land without
-    its ladder test in this file."""
-    source = open(__file__, encoding="utf-8").read()
-    tested = set(re.findall(r'"(not_replayable|codegen_error|'
-                            r'not_compilable|trace_hooks|'
-                            r'no_setup_return)"', source))
-    assert tested == set(JitError.REASONS) | set(DEMOTION_REASONS)
-
-
-# ---------------------------------------------------------------------------
-# aot demotion ladder: aot → jit → replay → interpreter
+# aot demotion ladder: aot → replay → interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -384,16 +243,14 @@ class TestAotNotReplayable:
         assert rejects.value(reason="not_replayable") == 1
         demotions = cap.registry.counter("aot_demotions_total")
         assert demotions.value(reason="not_compilable") == 1
-        # ...and every rung below then refuses/falls back in turn
-        jit_rejects = cap.registry.counter("jit_rejects_total")
-        assert jit_rejects.value(reason="not_replayable") == 1
+        # ...and the replay rung below then falls back too
         fallbacks = cap.registry.counter("replay_fallback_total")
         assert fallbacks.value(reason="not_replayable") == 1
 
 
 class TestAotUnsupportedOp:
     """A mnemonic with no registered expression and no extractable
-    R/I-format lambda refuses fusion; the jit rung serves the run."""
+    R/I-format lambda refuses fusion; the replay rung serves the run."""
 
     SOURCE = """
         addi t0, zero, 3
@@ -403,7 +260,7 @@ class TestAotUnsupportedOp:
         ret
     """
 
-    def test_rejected_and_jit_serves(self):
+    def test_rejected_and_replay_serves(self):
         original = aot_module._EXPRS.pop("maddlu")
         try:
             machine, entry = _machine(self.SOURCE)
@@ -414,7 +271,7 @@ class TestAotUnsupportedOp:
             with telemetry.capture(fresh=True) as cap:
                 machine2, entry2 = _machine(self.SOURCE)
                 result = machine2.run(entry2, engine="aot")
-            assert result.engine == "jit"
+            assert result.engine == "replay"
             assert machine2.regs["a0"] == 3 * 4 + 5
             rejects = cap.registry.counter("aot_rejects_total")
             assert rejects.value(reason="unsupported_op") == 1
@@ -462,9 +319,9 @@ class TestAotUnsupportedAccess:
 class TestAotCodegenError:
     """A broken expression template fails to fold/compile: aot refuses
     with ``codegen_error`` and demotes ONE rung — the trace is healthy,
-    so the jit tier serves the run."""
+    so the replay engine serves the run."""
 
-    def test_rejected_and_jit_serves(self):
+    def test_rejected_and_replay_serves(self):
         original = aot_module._EXPRS.get("addi")
         aot_module._EXPRS["addi"] = ("i", "r1 = = broken(")
         try:
@@ -476,7 +333,7 @@ class TestAotCodegenError:
             with telemetry.capture(fresh=True) as cap:
                 machine2, entry2 = _machine(_STRAIGHT)
                 result = machine2.run(entry2, engine="aot")
-            assert result.engine == "jit"
+            assert result.engine == "replay"
             assert machine2.regs["a0"] == 42
             rejects = cap.registry.counter("aot_rejects_total")
             assert rejects.value(reason="codegen_error") == 1

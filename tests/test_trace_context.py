@@ -36,7 +36,7 @@ class TestRequestTrace:
         with telemetry.capture() as cap:
             with tracing.request_trace("keygen", "tenant-0") as ctx:
                 with tracing.activate(ctx):
-                    telemetry.record_kernel_run("fp_mul", "jit", 120, 0)
+                    telemetry.record_kernel_run("fp_mul", "aot", 120, 0)
         assert ctx.status == "ok"
         assert ctx.node is not None
         assert ctx.node.labels == (
@@ -104,14 +104,14 @@ class TestActivate:
             with tracing.request_trace("exchange", "t0") as ctx:
                 def work() -> None:
                     with tracing.activate(ctx):
-                        with telemetry.span("execute", engine="jit"):
-                            telemetry.record_kernel_run("fp_mul", "jit", 700, 0)
+                        with telemetry.span("execute", engine="aot"):
+                            telemetry.record_kernel_run("fp_mul", "aot", 700, 0)
                 worker = threading.Thread(target=work)
                 worker.start()
                 worker.join()
         assert ctx.node.total_cycles == 700
-        execute = ctx.node.find("execute", engine="jit")
-        kernel = execute.find("kernel", engine="jit", kernel="fp_mul")
+        execute = ctx.node.find("execute", engine="aot")
+        kernel = execute.find("kernel", engine="aot", kernel="fp_mul")
         assert kernel.self_cycles == 700
         # The worker adopted the node without double-booking it.
         assert ctx.node.count == 1
@@ -127,7 +127,7 @@ class TestActivate:
         (no request context) are byte-identical to pre-tracing runs."""
         with telemetry.capture() as cap:
             with telemetry.span("group_action"):
-                telemetry.record_kernel_run("fp_mul", "jit", 55, 0)
+                telemetry.record_kernel_run("fp_mul", "aot", 55, 0)
             node = cap.root.find("group_action")
         assert node.self_cycles == 55
         assert not any(child.name == "kernel"
@@ -160,7 +160,7 @@ class TestBatch:
                 # (`activate`) exactly like a request.
                 assert tracing.current_trace() is batch
                 with tracing.activate(batch):
-                    telemetry.record_kernel_run("fp_mul", "jit", 40, 0)
+                    telemetry.record_kernel_run("fp_mul", "aot", 40, 0)
             tracing.finish_batch(batch, 0.5)
         assert batch.member_ids == (a.trace_id, b.trace_id)
         assert a.batch_ids == [batch.trace_id]
@@ -199,9 +199,9 @@ class TestIndexAndClear:
     def test_clear_traces_drops_subtrees_keeps_others(self):
         with telemetry.capture() as cap:
             with telemetry.span("group_action"):
-                telemetry.record_kernel_run("fp_mul", "jit", 5, 0)
+                telemetry.record_kernel_run("fp_mul", "aot", 5, 0)
             with tracing.request_trace("keygen") as ctx:
-                telemetry.record_kernel_run("fp_mul", "jit", 7, 0)
+                telemetry.record_kernel_run("fp_mul", "aot", 7, 0)
             batch = tracing.begin_batch("mul", [(ctx, 0.0)])
             tracing.finish_batch(batch, 0.1)
             dropped = tracing.clear_traces(cap.tracer)
@@ -217,10 +217,10 @@ class TestSnapshotDocument:
     def _populate(self):
         with tracing.request_trace("keygen", "t0") as a:
             with tracing.activate(a):
-                telemetry.record_kernel_run("fp_mul", "jit", 100, 0)
+                telemetry.record_kernel_run("fp_mul", "aot", 100, 0)
         with tracing.request_trace("exchange", "t1") as b:
             with tracing.activate(b):
-                telemetry.record_kernel_run("fp_add", "jit", 30, 0)
+                telemetry.record_kernel_run("fp_add", "aot", 30, 0)
         batch = tracing.begin_batch("mul", [(a, 0.0)])
         tracing.finish_batch(batch, 0.2)
         return a, b, batch
@@ -269,9 +269,9 @@ class TestExporters:
         with tracing.request_trace("keygen", "t0") as ctx:
             def work() -> None:
                 with tracing.activate(ctx):
-                    with telemetry.span("execute", engine="jit"):
-                        telemetry.record_kernel_run("fp_mul", "jit", 64, 0)
-                        telemetry.record_kernel_run("fp_add", "jit", 16, 0)
+                    with telemetry.span("execute", engine="aot"):
+                        telemetry.record_kernel_run("fp_mul", "aot", 64, 0)
+                        telemetry.record_kernel_run("fp_add", "aot", 16, 0)
             worker = threading.Thread(target=work)
             worker.start()
             worker.join()

@@ -23,7 +23,7 @@ def _service_run(**overrides) -> dict:
     run = {
         "mode": "service_load",
         "params": "CSIDH-toy",
-        "engine": "jit",
+        "engine": "aot",
         "exchanges": 50,
         "concurrency": 8,
         "tenants": 2,
@@ -57,7 +57,7 @@ def _sharded_run(**overrides) -> dict:
         "variant": "reduced.ise",
         "shards": 8,
         "workers": 2,
-        "engine": "jit",
+        "engine": "aot",
         "wall_s": 0.5,
         "plan_wall_s": 0.05,
         "simulated_cycles": 115_493,
@@ -171,11 +171,11 @@ class TestDetection:
         def run(wall):
             return {"mode": "engine_comparison", "params": "CSIDH-toy",
                     "variant": "reduced.ise",
-                    "engines": {"jit": {"wall_s": wall},
+                    "engines": {"aot": {"wall_s": wall},
                                 "replay": {"wall_s": 1.0}}}
         report = watchdog.check_records([run(0.2), run(0.2), run(0.9)])
         assert [f.metric for f in report.findings] \
-            == ["engines.jit.wall_s"]
+            == ["engines.aot.wall_s"]
 
     def test_sharded_cycles_regression_found(self):
         # merged cycle totals are deterministic, so the sharded_action
