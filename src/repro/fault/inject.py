@@ -7,19 +7,21 @@ installs the corruption:
 * interpreter sites (``register_flip``, ``memory_flip``) attach a
   one-shot :meth:`Machine.add_trace_hook` that fires at a chosen
   retired-instruction index — attaching a hook also makes fast-engine
-  requests fall back to the interpreter, so the flip lands mid-kernel
-  exactly as a transient hardware fault would;
+  requests run on the interpreter from a reset machine, so the flip
+  lands mid-kernel exactly as a transient hardware fault would, and
+  every engine reports the same outcome for the same trial;
 * replay-cache sites (``replay_step_skip``, ``replay_closure_corrupt``,
   ``replay_cycles_corrupt``) swap the cached
   :class:`~repro.rv64.replay.CompiledTrace` for a poisoned copy —
   *persistent* corruption that stays until recovery invalidates the
-  cache entry.  A live **aot tier** is dropped in the same arming step
-  (its liveness guard trips and runs demote onto the poisoned trace),
-  so the fault is observable from the top of the aot → replay →
-  interpreter ladder down;
+  cache entry.  The live **aot entry thunk** is dropped in the same
+  arming step (its liveness guard trips and runs demote onto the
+  poisoned trace), so the fault is observable from the top of the
+  aot → replay → interpreter ladder down;
 * ``output_corrupt`` installs a one-shot hook on the runner's result
-  read-out seam, perturbing what the caller sees independently of the
-  engine.
+  limbs, perturbing what the caller sees independently of the engine
+  (the aot entry thunk included: the hook transforms the limbs it
+  returns).
 
 Every armed fault is recorded as a telemetry event
 (``faults_injected_total{site,kernel}``) and returns an
@@ -110,22 +112,18 @@ def _poisoned_trace(runner: KernelRunner):
 def _install_poisoned_trace(
     machine, entry: int, original, poisoned
 ) -> Callable[[], None]:
-    """Swap *poisoned* in for *entry*'s trace and take the live aot tier
-    out while the fault is armed; returns the disarm callable.
+    """Swap *poisoned* in for *entry*'s trace and take the live aot entry
+    thunk out while the fault is armed; returns the disarm callable.
 
     The fused aot thunk computes results from the expression graph —
     it never consults ``trace.steps`` — so poisoning the trace cannot
     reach it; symmetry demands the tier be dropped instead: the entry
     thunk's liveness guard trips, runs demote onto the poisoned replay
-    trace, and the armed fault is visible from every tier.  The entry
-    also joins ``_aot_rejected`` so nothing recompiles a *healthy* aot
-    function from the untouched ``step_instructions`` while the fault
-    is armed."""
+    trace, and the armed fault is visible from every tier.  Nothing
+    re-fuses the kernel while the fault is armed: only a new runner
+    compiles an entry thunk."""
     machine._trace_cache[entry] = poisoned
     entry_fn = machine._aot_entry_cache.pop(entry, None)
-    aotfn = machine._aot_cache.pop(entry, None)
-    was_rejected = entry in machine._aot_rejected
-    machine._aot_rejected.add(entry)
 
     def disarm() -> None:
         # harmless if recovery already rebuilt the runner: the poisoned
@@ -133,10 +131,6 @@ def _install_poisoned_trace(
         machine._trace_cache[entry] = original
         if entry_fn is not None:
             machine._aot_entry_cache[entry] = entry_fn
-        if aotfn is not None:
-            machine._aot_cache[entry] = aotfn
-        if not was_rejected:
-            machine._aot_rejected.discard(entry)
 
     return disarm
 

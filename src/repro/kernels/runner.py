@@ -11,22 +11,28 @@ equivalence.
 Because every generated kernel is branch-free straight-line code, a
 runner can execute it through the fast execution tiers: ``engine=
 "replay"`` decodes the kernel once into a compiled closure trace
-(:mod:`repro.rv64.replay`); ``engine="aot"`` fuses the whole trace into
-limb-level wide-int arithmetic (:mod:`repro.rv64.aot`) that the runner
-calls directly — no per-instruction dispatch of any kind — and can
-warm-start from the persistent on-disk artifact cache
-(:mod:`repro.rv64.artifacts`) without re-tracing at all.  Every tier
-returns bit-identical limbs and the identical cycle count
+(:mod:`repro.rv64.replay`); ``engine="aot"`` fuses the whole kernel
+into one entry thunk of limb-level wide-int arithmetic
+(:mod:`repro.rv64.aot`) that the runner calls directly — no
+per-instruction dispatch of any kind — and can warm-start from the
+persistent on-disk artifact cache (:mod:`repro.rv64.artifacts`)
+without re-tracing at all.  The runner is the aot tier's only host:
+fusion needs the operand layout it owns.  Every tier returns
+bit-identical limbs and the identical cycle count
 (``tests/differential/`` proves the three-way equivalence for every
 kernel variant), and all demote down the aot → replay → interpreter
 ladder whenever their preconditions fail
-(:class:`~repro.rv64.aot.AotError` refusals, non-replayable programs,
-cache-enabled timing, attached trace hooks).
+(:class:`~repro.rv64.aot.AotError` refusals, evicted thunks,
+non-replayable programs, cache-enabled timing, attached trace hooks).
 
-:meth:`KernelRunner.run_batch` executes one kernel over many operand
-sets in a single call, amortising the per-call setup (engine
-resolution, trace/function lookup, ``Machine.run`` bookkeeping) for
-server-style throughput workloads.
+:meth:`KernelRunner.run` and :meth:`KernelRunner.run_batch` resolve the
+engine once and then share one per-item path: the thunk if there is
+one (the aot entry thunk, or in batches the replay batch thunk),
+otherwise the replay lean path or the interpreter; then the hardening
+step (fault hook, sampled verification) for every engine alike.
+Hooked items always run on the interpreter from a reset machine.
+``run_batch`` amortises the per-call setup (engine resolution, thunk
+lookup) for server-style throughput workloads.
 """
 
 from __future__ import annotations
@@ -80,11 +86,18 @@ STATIC_SAMPLE_SEED = 0
 DEFAULT_CHECK_INTERVAL = 8
 
 
+def _validate_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise KernelError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+
+
 class _Hardening:
     """State of a runner's checked mode and fault-injection seam.
 
-    Kept on a single nullable slot so the hot path of
-    :meth:`KernelRunner.run` pays exactly one ``is None`` test while
+    Kept on a single nullable slot so the per-item path of
+    :class:`KernelRunner` pays exactly one ``is None`` test while
     the whole feature is off (the same disabled-cost contract as
     telemetry; guarded by ``benchmarks/test_checked_overhead.py``).
     """
@@ -117,10 +130,7 @@ class KernelRunner:
         checked: bool = False,
         check_interval: int = DEFAULT_CHECK_INTERVAL,
     ) -> None:
-        if engine not in ENGINES:
-            raise KernelError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        _validate_engine(engine)
         self.kernel = kernel
         self.engine = engine
         self._pipeline_config = pipeline_config
@@ -151,9 +161,10 @@ class KernelRunner:
         )
         self._result_reg = register_index("a0")
         # fused entry thunks (marshal/call/read-out in one generated
-        # function); None on non-aot runners and unspecialisable
-        # layouts.  The replay-tier batch thunk is built lazily on first
-        # run_batch (False = build attempted, layout unspecialisable).
+        # function): the aot entry thunk (None on non-aot runners and
+        # refused kernels) and the replay-tier batch thunk, built
+        # lazily on first run_batch (False = build attempted, layout
+        # unspecialisable).
         self._replay_thunk = None
         self._aot_thunk = None
         if engine == "aot":
@@ -225,7 +236,6 @@ class KernelRunner:
                 )
             except AotError as exc:
                 telemetry.record_aot_reject(exc.reason)
-                machine._aot_rejected.add(entry)
                 return
             telemetry.record_aot_compile(perf_counter() - start)
         machine._aot_entry_cache[entry] = aot
@@ -278,9 +288,10 @@ class KernelRunner:
                 and self._hardening.enabled)
 
     def set_fault_hook(self, hook) -> None:
-        """Install *hook*: ``limbs -> limbs`` applied to every raw
-        result read-out (the fault-injection seam used by
-        :mod:`repro.fault.inject`; not a public extension point)."""
+        """Install *hook*: ``limbs -> limbs`` applied to every run's
+        result limbs, whatever the engine (the fault-injection seam
+        used by :mod:`repro.fault.inject`; not a public extension
+        point)."""
         self._ensure_hardening().fault_hook = hook
 
     def clear_fault_hook(self) -> None:
@@ -329,17 +340,27 @@ class KernelRunner:
         return self._static_size
 
     def _resolve_engine(self, engine: str) -> str:
-        """Walk the aot -> replay -> interpreter demotion ladder.
+        """Validate *engine* and walk the aot -> replay -> interpreter
+        demotion ladder.
 
-        Each rung demotes exactly one step when its precondition fails;
-        aot demotions are counted (``aot_demotions_total``), the
-        replay -> interpreter step is silent here (:meth:`Machine.run`
-        records the per-run fallback).
+        Each rung demotes exactly one step when its precondition fails.
+        aot demotions are counted (``aot_demotions_total``): an attached
+        trace hook as ``trace_hooks``, a missing entry thunk (refused
+        at construction, or evicted by invalidation or fault poisoning)
+        as ``not_compilable``.  The replay -> interpreter step is
+        silent here (:meth:`Machine.run` records the per-run fallback).
         """
         machine = self.machine
-        if engine == "aot" and not machine.aot_supported(self.entry):
-            telemetry.record_aot_demotion("not_compilable")
+        if engine == "aot":
+            if machine._trace_hooks:
+                telemetry.record_aot_demotion("trace_hooks")
+            elif self.entry in machine._aot_entry_cache:
+                return engine
+            else:
+                telemetry.record_aot_demotion("not_compilable")
             engine = "replay"
+        else:
+            _validate_engine(engine)
         if engine == "replay" and not machine.replay_supported(self.entry):
             engine = "interpreter"  # e.g. cache-enabled timing
         return engine
@@ -361,35 +382,76 @@ class KernelRunner:
             regs[reg_index] = address
         regs[self._result_reg] = RESULT_ADDR
 
-    def _execute_fast(self, engine: str):
-        """Run from the marshalled lean-path state.
+    def _execute(self, values, engine: str):
+        """Run one item on the machine (no thunk, or the thunk declined).
 
-        Returns ``(engine_ran, cycles, instructions)``.  For aot the
-        machine-level fused function is called directly — no
-        ``Machine.run`` bookkeeping on the per-call path; architectural
-        pc/halted and the ``machine_runs_total`` counter are maintained
-        exactly as :meth:`Machine.run` would.  The function is
-        re-fetched from the machine's cache on every call so trace
-        invalidation (and fault-campaign poisoning) takes effect
-        immediately.
+        Returns ``(engine_ran, (value, limbs, cycles, instructions))``,
+        the second element shaped like a thunk's result.  Without trace
+        hooks a fast-engine request takes the replay lean path: traces
+        run from architectural reset, so zeroing the register list is
+        the only state to restore (the pipeline model is bypassed, not
+        mutated).  Everything else — interpreter requests, hooked
+        items, non-replayable kernels — runs through :meth:`Machine.run`
+        from :meth:`Machine.reset`, so a hooked run reports one run's
+        cycles, never a running total.
         """
         machine = self.machine
-        if engine == "aot" and not machine._trace_hooks:
-            # the machine-level fused function: memory-exact (runtime
-            # stores), so the generic read-out below it still holds —
-            # this is the hardened/fallback aot path, not the thunk
-            aotfn = machine._aot_for(self.entry)
-            if aotfn is not None:
-                state = machine.state
-                aotfn.fn(state.regs._regs, DEFAULT_STACK_TOP)
-                state.pc = aotfn.exit_pc
-                state.halted = aotfn.halts
-                telemetry.record_machine_run("aot")
-                return "aot", aotfn.cycles, aotfn.instructions_retired
-            telemetry.record_aot_demotion("not_compilable")
-            engine = "replay"
-        result = machine.run(self.entry, engine=engine)
-        return result.engine, result.cycles, result.instructions_retired
+        trace = None
+        if engine != "interpreter" and not machine._trace_hooks:
+            trace = machine._trace_for(self.entry)
+        if trace is None:
+            machine.reset()
+        self._marshal_args(values)
+        if trace is not None:
+            result = machine._replay(trace, DEFAULT_STACK_TOP)
+        else:
+            # a fast-engine request still asks Machine.run for replay,
+            # which records the replay_fallback_total{reason}
+            result = machine.run(
+                self.entry, engine="replay" if engine == "aot" else engine)
+        raw = machine.mem.read_bytes(RESULT_ADDR,
+                                     8 * self.kernel.output_limbs)
+        limbs = tuple(
+            int.from_bytes(raw[i:i + 8], "little")
+            for i in range(0, len(raw), 8)
+        )
+        value = self.kernel.context.radix.from_limbs(list(limbs))
+        return result.engine, (value, limbs, result.cycles,
+                               result.instructions_retired)
+
+    def _run_item(self, values, engine: str, thunk,
+                  check: bool) -> KernelRun:
+        """The one per-item path behind :meth:`run` and
+        :meth:`run_batch`, on an already resolved *engine*.
+
+        Tries *thunk* first (the aot entry thunk, or the replay batch
+        thunk); it returns ``None`` when evicted or when an operand is
+        out of range, and the item then executes on the machine
+        (:meth:`_execute`).  The hardening step follows once, for
+        every engine: the fault hook transforms the limbs, the value is
+        recomputed from them, and the sampled :meth:`_verify` runs.
+        """
+        out = None if thunk is None else thunk(*values)
+        if out is not None:
+            telemetry.record_machine_run(engine)
+            ran = engine
+        else:
+            ran, out = self._execute(values, engine)
+        value, limbs, cycles, instructions = out
+        hardening = self._hardening
+        if hardening is not None:  # disabled hardening: one test
+            if hardening.fault_hook is not None:
+                limbs = tuple(hardening.fault_hook(limbs))
+                value = self.kernel.context.radix.from_limbs(list(limbs))
+            if hardening.enabled:
+                hardening.clock += 1
+                if hardening.clock >= hardening.interval:
+                    hardening.clock = 0
+                    # raises FaultDetectedError on divergence, before
+                    # the run is recorded anywhere downstream
+                    self._verify(values, value, cycles, ran)
+        return self._finish(values, value, limbs, cycles, instructions,
+                            ran, check)
 
     def _finish(self, values, value: int, limbs, cycles, instructions,
                 engine: str, check: bool) -> KernelRun:
@@ -423,13 +485,6 @@ class KernelRunner:
             cycles=cycles,
         )
 
-    def _check_engine(self, engine: str) -> str:
-        if engine not in ENGINES:
-            raise KernelError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
-
     def run(
         self,
         *values: int,
@@ -450,79 +505,15 @@ class KernelRunner:
                 f"{kernel.name} expects {len(kernel.input_limbs)} "
                 f"operands, got {len(values)}"
             )
-        machine = self.machine
-        engine = self.engine if engine is None else self._check_engine(
-            engine)
+        engine = self._resolve_engine(
+            self.engine if engine is None else engine)
+        return self._run_item(
+            values, engine, self._aot_thunk if engine == "aot" else None,
+            check)
 
-        if (engine == "aot" and self._hardening is None
-                and not machine._trace_hooks):
-            # whole-kernel fast path: the fused thunk computes the
-            # result limbs directly from the operand values — no limb
-            # marshalling, no memory traffic, no per-instruction
-            # statements; falls through (None) if the thunk was
-            # evicted/poisoned or an operand is out of range
-            thunk = self._aot_thunk
-            if thunk is not None:
-                out = thunk(*values)
-                if out is not None:
-                    telemetry.record_machine_run("aot")
-                    return self._finish(values, *out, "aot", check)
-        engine = self._resolve_engine(engine)
-
-        radix = kernel.context.radix
-        if engine != "interpreter":
-            # lean path: traces and aot functions run from architectural
-            # reset, so zeroing the register list is the only state to
-            # restore (the pipeline model is bypassed, not mutated)
-            self._marshal_args(values)
-            ran, cycles, instructions = self._execute_fast(engine)
-            raw = machine.mem.read_bytes(
-                RESULT_ADDR, 8 * kernel.output_limbs)
-            out_limbs = tuple(
-                int.from_bytes(raw[i:i + 8], "little")
-                for i in range(0, len(raw), 8)
-            )
-        else:
-            machine.reset()
-            for value, (address, limbs, reg_index) in zip(
-                values, self._arg_plan
-            ):
-                machine.mem.store_words(
-                    address, radix.to_limbs(value, limbs=limbs))
-                machine.state.regs._regs[reg_index] = address
-            machine.state.regs._regs[self._result_reg] = RESULT_ADDR
-            result = machine.run(self.entry)
-            ran = result.engine
-            cycles = result.cycles
-            instructions = result.instructions_retired
-            out_limbs = tuple(
-                machine.mem.load_words(RESULT_ADDR, kernel.output_limbs)
-            )
-        hardening = self._hardening
-        if hardening is None:  # disabled hardening: one boolean test
-            value = radix.from_limbs(list(out_limbs))
-        else:
-            if hardening.fault_hook is not None:
-                out_limbs = tuple(hardening.fault_hook(out_limbs))
-            value = radix.from_limbs(list(out_limbs))
-            if hardening.enabled:
-                hardening.clock += 1
-                if hardening.clock >= hardening.interval:
-                    hardening.clock = 0
-                    # raises FaultDetectedError on divergence, before
-                    # the run is recorded anywhere downstream
-                    self._verify(values, value, cycles, ran)
-        return self._finish(values, value, out_limbs, cycles,
-                            instructions, ran, check)
-
-    def _batch_thunk(self, engine: str):
-        """The fused per-item thunk for *engine*, or ``None``.
-
-        aot uses its entry thunk; replay builds its batch thunk lazily
-        (:func:`~repro.rv64.replay.compile_batch_thunk`) on first use.
-        """
-        if engine == "aot":
-            return self._aot_thunk
+    def _replay_batch_thunk(self):
+        """The replay batch thunk, built lazily on first use, or
+        ``None`` (:func:`~repro.rv64.replay.compile_batch_thunk`)."""
         if self._replay_thunk is None:
             from repro.rv64.replay import compile_batch_thunk
 
@@ -550,13 +541,11 @@ class KernelRunner:
 
         Semantically identical to ``[self.run(*v) for v in
         operand_sets]`` — same values, limbs, cycle counts, and
-        per-run ``kernel_runs_total`` accounting — but the fast tiers
-        resolve the engine and the fused thunk **once** and then loop
-        only the thunk per item.  One extra ``kernel_batches_total`` /
-        ``kernel_batch_items_total`` sample records the batching
-        itself.  Hardened runners (checked mode or an armed fault
-        hook), interpreter runs and layouts without a thunk take the
-        exact scalar path per item so every safety check still fires.
+        per-run ``kernel_runs_total`` accounting — but the engine and
+        the thunk are resolved **once**, and the replay engine swaps
+        its lean path for the fused replay batch thunk.  One extra
+        ``kernel_batches_total`` / ``kernel_batch_items_total`` sample
+        records the batching itself.
         """
         kernel = self.kernel
         operand_sets = [tuple(values) for values in operand_sets]
@@ -568,28 +557,15 @@ class KernelRunner:
                     f"got {len(values)}"
                 )
         engine = self._resolve_engine(
-            self.engine if engine is None else self._check_engine(engine))
+            self.engine if engine is None else engine)
         thunk = None
-        if (engine != "interpreter" and self._hardening is None
-                and not self.machine._trace_hooks):
-            thunk = self._batch_thunk(engine)
-        if thunk is None:
-            runs = [self.run(*values, check=check, engine=engine)
-                    for values in operand_sets]
-        else:
-            # fused batch loop: the generated thunk per item, nothing
-            # else (per-item telemetry mirrors the scalar path)
-            finish = self._finish
-            record_machine = telemetry.record_machine_run
-            runs = []
-            for values in operand_sets:
-                out = thunk(*values)
-                if out is None:
-                    runs.append(self.run(*values, check=check,
-                                         engine=engine))
-                    continue
-                record_machine(engine)
-                runs.append(finish(values, *out, engine, check))
+        if engine == "aot":
+            thunk = self._aot_thunk
+        elif engine == "replay" and not self.machine._trace_hooks:
+            thunk = self._replay_batch_thunk()
+        run_item = self._run_item
+        runs = [run_item(values, engine, thunk, check)
+                for values in operand_sets]
         telemetry.record_kernel_batch(kernel.name, engine, len(runs))
         return runs
 

@@ -38,12 +38,14 @@ lambda bound into the namespace (correct, but it marks the artifact
 non-persistable: a bound lambda cannot round-trip through the disk
 cache).
 
-:func:`compile_aot` is the machine-level variant behind
-``Machine.run(engine="aot")``: same symbolic core, but memory accesses
-stay *runtime effects* (emitted in program order against the machine's
-real memory), so the generic runner paths — hardened mode, fault
-hooks, histogram collection — read results out of memory exactly as
-they do for every other engine.
+:func:`compile_aot_entry` is the tier's only code generator, and
+:class:`~repro.kernels.runner.KernelRunner` its only caller: fusion
+needs the kernel's operand layout (argument spans, result buffer,
+constant pool), which only the runner knows, so
+``Machine.run(engine="aot")`` refuses.  Hardened runs (checked mode,
+an armed fault hook) use the same thunk — neither reads simulator
+memory: checked mode compares the value and the cycle count, and the
+fault hook perturbs the returned limbs.
 
 Compiled entry thunks serialise to **source text plus static costs**;
 :mod:`repro.rv64.artifacts` persists them on disk keyed by (kernel,
@@ -63,13 +65,12 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.rv64.bits import MASK64, s32, u64
-from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R
+from repro.rv64.isa import FMT_I, FMT_I_SHIFT, FMT_R, KIND_LOAD, KIND_STORE
 from repro.rv64.machine import DEFAULT_STACK_TOP, HALT_ADDRESS
 from repro.rv64.replay import _extract_alu_op
 
@@ -97,10 +98,11 @@ class AotError(SimulationError):
         self.reason = reason
 
 
-#: Run-level demotion reasons recorded by ``aot_demotions_total``:
-#: the compile refusals surface as ``not_compilable`` plus the same
-#: situational demotions the replay tier knows.
-DEMOTION_REASONS = ("not_compilable", "trace_hooks", "no_setup_return")
+#: Run-level demotion reasons recorded by ``aot_demotions_total``
+#: (by :class:`~repro.kernels.runner.KernelRunner`): a compile refusal
+#: or an evicted thunk surfaces as ``not_compilable``, an attached
+#: trace hook as ``trace_hooks``.
+DEMOTION_REASONS = ("not_compilable", "trace_hooks")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def _build_expr(expr: str, operands: dict, scalars: dict) -> _Node:
 
 
 # ---------------------------------------------------------------------------
-# Memory models
+# Memory model
 # ---------------------------------------------------------------------------
 
 class _ConcreteMemory:
@@ -273,9 +275,10 @@ class _ConcreteMemory:
     Stores are forwarded symbolically (``{address: node}``); loads
     resolve to a forwarded store, a limb extraction from an operand
     atom, or a concrete constant from the write-once constant pool.
-    Anything else refuses: a data-dependent address, a sub-word or
-    misaligned access, or a read of memory whose content varies between
-    runs (scratch before its first store, the previous run's result).
+    Anything else refuses: a data-dependent or misaligned address, or a
+    read of memory whose content varies between runs (scratch before
+    its first store, the previous run's result).  Sub-word accesses
+    never get here: the stepper refuses them first.
     """
 
     def __init__(self, mem, arg_plan, operand_atoms, bits: int,
@@ -304,13 +307,7 @@ class _ConcreteMemory:
             )
         return address
 
-    def load(self, address_node: _Node, size: int, signed: bool,
-             rd: int) -> _Node:
-        if size != 8 or signed:
-            raise AotError(
-                f"{size}-byte load: only aligned ld/sd fuse",
-                reason="unsupported_access",
-            )
+    def load(self, address_node: _Node) -> _Node:
         address = self._address(address_node, "load")
         forwarded = self.stores.get(address)
         if forwarded is not None:
@@ -333,13 +330,7 @@ class _ConcreteMemory:
             reason="unsupported_access",
         )
 
-    def store(self, address_node: _Node, value_node: _Node,
-              size: int) -> None:
-        if size != 8:
-            raise AotError(
-                f"{size}-byte store: only aligned ld/sd fuse",
-                reason="unsupported_access",
-            )
+    def store(self, address_node: _Node, value_node: _Node) -> None:
         address = self._address(address_node, "store")
         if (self._const_base <= address
                 < self._const_base + self._const_size):
@@ -364,44 +355,9 @@ class _ConcreteMemory:
         return nodes
 
 
-class _RuntimeMemory:
-    """Program-order memory effects for the machine-level variant.
-
-    Loads and stores stay *runtime* statements against the machine's
-    real memory (``effects`` is consumed in order by the emitter);
-    loads define fresh SSA atoms, so later register dataflow is exact
-    regardless of interleaved stores.
-    """
-
-    def __init__(self) -> None:
-        self.effects: list[tuple] = []
-        self._loads = 0
-
-    def load(self, address_node: _Node, size: int, signed: bool,
-             rd: int) -> _Node | None:
-        if rd == 0:
-            self.effects.append(
-                ("load", address_node, size, signed, None))
-            return None
-        name = f"_m{self._loads}"
-        self._loads += 1
-        self.effects.append(("load", address_node, size, signed, name))
-        return _atom(name)
-
-    def store(self, address_node: _Node, value_node: _Node,
-              size: int) -> None:
-        self.effects.append(("store", address_node, value_node, size))
-
-
 # ---------------------------------------------------------------------------
 # Symbolic execution
 # ---------------------------------------------------------------------------
-
-_LOAD_SIZES = {"ld": (8, False), "lb": (1, True), "lbu": (1, False),
-               "lh": (2, True), "lhu": (2, False), "lw": (4, True),
-               "lwu": (4, False)}
-_STORE_SIZES = {"sd": 8, "sb": 1, "sh": 2, "sw": 4}
-
 
 class _SymbolicRun:
     """Step the trace's instructions over expression nodes."""
@@ -440,18 +396,17 @@ class _SymbolicRun:
         if mnemonic == "auipc":
             self._write(ins.rd, _const(u64(pc + s32(ins.imm << 12))))
             return
-        load_shape = _LOAD_SIZES.get(mnemonic)
-        if load_shape is not None:
-            size, signed = load_shape
-            node = self.memory.load(
-                self._address_node(ins), size, signed, ins.rd)
-            if node is not None:
-                self._write(ins.rd, node)
-            return
-        store_size = _STORE_SIZES.get(mnemonic)
-        if store_size is not None:
-            self.memory.store(
-                self._address_node(ins), regs[ins.rs2], store_size)
+        if spec.kind in (KIND_LOAD, KIND_STORE):
+            if mnemonic not in ("ld", "sd"):
+                raise AotError(
+                    f"{mnemonic} at {pc:#x}: only aligned ld/sd fuse",
+                    reason="unsupported_access",
+                )
+            if mnemonic == "ld":
+                self._write(ins.rd,
+                            self.memory.load(self._address_node(ins)))
+            else:
+                self.memory.store(self._address_node(ins), regs[ins.rs2])
             return
         entry = _EXPRS.get(mnemonic)
         if entry is not None:
@@ -562,30 +517,6 @@ class _Emitter:
         return node.template.format(*parts)
 
 
-def _emit_effects(emitter: _Emitter, effects: list) -> None:
-    """Append the runtime load/store statements in program order."""
-    for effect in effects:
-        if effect[0] == "load":
-            _tag, address_node, size, signed, name = effect
-            address = emitter.ref(address_node)
-            if name is None:  # rd == x0: load for trap semantics only
-                suffix = ", signed=True" if signed else ""
-                emitter.lines.append(f"load({address}, {size}{suffix})")
-            elif size == 8:
-                emitter.lines.append(f"{name} = load({address}, 8)")
-            elif signed:
-                emitter.lines.append(
-                    f"{name} = load({address}, {size}, signed=True) & M")
-            else:
-                emitter.lines.append(
-                    f"{name} = load({address}, {size})")
-        else:
-            _tag, address_node, value_node, size = effect
-            address = emitter.ref(address_node)
-            value = emitter.ref(value_node)
-            emitter.lines.append(f"store({address}, {value}, {size})")
-
-
 def _build(source: str, namespace: dict, *, tag: str,
            function: str) -> Callable:
     try:
@@ -638,28 +569,8 @@ class AotEntry:
     exit_pc: int
 
 
-@dataclass(frozen=True)
-class AotFunction:
-    """The machine-level fused function (``Machine.run(engine="aot")``).
-
-    ``fn(regs, stack_top)`` is memory-exact (runtime stores land in the
-    machine's memory), and the trace's static cost/histogram ride along
-    verbatim.
-    """
-
-    entry: int
-    fn: Callable
-    source: str
-    namespace: dict
-    instructions_retired: int
-    cycles: int | None
-    histogram: Counter
-    halts: bool
-    exit_pc: int
-
-
 # ---------------------------------------------------------------------------
-# Entry-thunk compilation (the KernelRunner fast path)
+# Entry-thunk compilation
 # ---------------------------------------------------------------------------
 
 def _trace_or_refuse(machine: Machine, entry: int):
@@ -831,81 +742,4 @@ def bind_entry_source(
         instructions_retired=instructions,
         halts=halts,
         exit_pc=exit_pc,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Machine-level compilation (Machine.run(engine="aot"))
-# ---------------------------------------------------------------------------
-
-_REGLIST = ", ".join(f"r{i}" for i in range(32))
-
-
-def compile_aot(machine: Machine, entry: int) -> AotFunction:
-    """Fuse the straight-line program at *entry*, memory-exactly.
-
-    Same symbolic core as :func:`compile_aot_entry`, but register
-    inputs stay live atoms and memory accesses stay runtime effects in
-    program order, so the function is a drop-in replacement for a
-    replayed trace: ``fn(regs, stack_top)`` leaves registers *and
-    memory* exactly as the interpreter would.
-
-    Raises :class:`AotError`; the caller demotes to the replay tier.
-    """
-    trace = _trace_or_refuse(machine, entry)
-    regs: list[_Node] = [_atom(f"r{i}") for i in range(32)]
-    regs[1] = _const(HALT_ADDRESS)
-    regs[2] = _atom("stack_top")
-    memory = _RuntimeMemory()
-    run = _SymbolicRun(regs, memory)
-    with _deep_recursion():
-        try:
-            for pc, ins, spec in trace.step_instructions:
-                run.step(pc, ins, spec)
-            roots: list[_Node] = []
-            for effect in memory.effects:
-                if effect[0] == "load":
-                    roots.append(effect[1])
-                else:
-                    roots.append(effect[1])
-                    roots.append(effect[2])
-            roots.extend(run.regs)
-            emitter = _Emitter(_count_uses(roots))
-            _emit_effects(emitter, memory.effects)
-            reg_refs = [emitter.ref(node) for node in run.regs]
-        except RecursionError as exc:
-            raise AotError(
-                f"expression graph for {entry:#x} is too deep to "
-                f"render",
-                reason="codegen_error",
-            ) from exc
-
-    lines = [
-        "def __aot_kernel(regs, stack_top):",
-        f"    ({_REGLIST}) = regs",
-    ]
-    for line in emitter.lines:
-        lines.append("    " + line)
-    lines.append(f"    regs[:] = ({', '.join(reg_refs)})")
-    source = "\n".join(lines) + "\n"
-    mem = machine.state.mem
-    namespace = {
-        "M": MASK64,
-        "load": mem.load,
-        "store": mem.store,
-    }
-    namespace.update(run.calls)
-    with _deep_recursion():
-        fn = _build(source, namespace, tag=f"{entry:#x}",
-                    function="__aot_kernel")
-    return AotFunction(
-        entry=entry,
-        fn=fn,
-        source=source,
-        namespace=namespace,
-        instructions_retired=trace.instructions_retired,
-        cycles=trace.cycles,
-        histogram=trace.histogram,
-        halts=trace.halts,
-        exit_pc=trace.exit_pc,
     )

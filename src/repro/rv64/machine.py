@@ -9,6 +9,13 @@ Execution terminates when the program counter reaches
 :data:`HALT_ADDRESS` (the conventional return address planted in ``ra``
 before calling a kernel), when an ``ebreak`` retires, or when the step
 limit is exceeded (guarding against runaway programs).
+
+:meth:`Machine.run` serves two engines: the interpreter and the
+compiled-trace replay engine (:mod:`repro.rv64.replay`).  The fastest
+tier, whole-kernel aot fusion (:mod:`repro.rv64.aot`), needs a
+kernel's operand layout and runs only through
+:class:`~repro.kernels.runner.KernelRunner`; the machine just hosts its
+entry thunks in ``_aot_entry_cache``, the thunks' liveness guard.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Iterator
 
 from repro import telemetry
@@ -33,7 +39,9 @@ HALT_ADDRESS = 0x0000_0000_DEAD_0000
 #: Default stack top for kernels that need scratch memory.
 DEFAULT_STACK_TOP = 0x0000_0000_7FFF_F000
 
-#: The execution tiers of :meth:`Machine.run`, slowest to fastest.
+#: The execution tiers, slowest to fastest.  :meth:`Machine.run` serves
+#: the first two; ``"aot"`` needs a kernel's operand layout and is
+#: served by :class:`~repro.kernels.runner.KernelRunner` alone.
 ENGINES = ("interpreter", "replay", "aot")
 
 TraceHook = Callable[["MachineState", Instruction], None]
@@ -43,13 +51,12 @@ TraceHook = Callable[["MachineState", Instruction], None]
 class ExecutionResult:
     """Summary of one :meth:`Machine.run` invocation.
 
-    ``engine`` names the execution engine that *actually* ran — one of
-    :data:`ENGINES` — which matters because a requested engine silently
-    demotes down the aot → replay → interpreter ladder when
-    exactness cannot be guaranteed (trace hooks attached,
-    non-replayable or non-compilable program, ``setup_return=False``).
-    Telemetry and profiling must consume this field rather than echo
-    the request.
+    ``engine`` names the execution engine that *actually* ran —
+    ``"interpreter"`` or ``"replay"`` — which matters because a replay
+    request silently falls back to the interpreter when exactness
+    cannot be guaranteed (trace hooks attached, non-replayable program,
+    ``setup_return=False``).  Telemetry and profiling must consume this
+    field rather than echo the request.
     """
 
     instructions_retired: int
@@ -103,12 +110,9 @@ class Machine:
         # decode-once/replay-many caches (see repro.rv64.replay)
         self._trace_cache: dict[int, object] = {}
         self._replay_rejected: set[int] = set()
-        # whole-kernel aot caches (see repro.rv64.aot):
-        # _aot_cache holds machine-level AotFunctions for run();
-        # _aot_entry_cache holds KernelRunner entry thunks and doubles
-        # as their liveness guard (popping an entry disables its thunk)
-        self._aot_cache: dict[int, object] = {}
-        self._aot_rejected: set[int] = set()
+        # KernelRunner aot entry thunks (see repro.rv64.aot); the
+        # cache doubles as their liveness guard: popping an entry
+        # disables its thunk
         self._aot_entry_cache: dict[int, object] = {}
         # on-disk artifact identity for the entry hosted by this
         # machine, set by KernelRunner so invalidate_trace can drop
@@ -133,8 +137,6 @@ class Machine:
             self._program[base + 4 * index] = (ins, spec)
         self._trace_cache.clear()
         self._replay_rejected.clear()
-        self._aot_cache.clear()
-        self._aot_rejected.clear()
         self._aot_entry_cache.clear()
         return base
 
@@ -149,9 +151,13 @@ class Machine:
     def add_trace_hook(self, hook: TraceHook) -> None:
         """Register *hook* to observe every retired instruction.
 
-        While any hook is attached, fast-engine runs fall back to the
-        interpreter: replay and aot skip per-instruction dispatch, so
-        they cannot deliver per-instruction callbacks.
+        While any hook is attached, replay requests fall back to the
+        interpreter (and :class:`~repro.kernels.runner.KernelRunner`
+        demotes aot requests): the fast tiers skip per-instruction
+        dispatch, so they cannot deliver per-instruction callbacks.
+        The fallback continues from the machine's current state,
+        pipeline model included; the runner resets the machine before
+        every hooked run, so cycle counts do not accumulate.
         """
         self._trace_hooks.append(hook)
 
@@ -205,8 +211,10 @@ class Machine:
         ``ret`` ends the simulation — the calling convention used by all
         generated kernels.
 
-        ``engine`` selects the execution tier (one of :data:`ENGINES`):
+        ``engine`` selects the execution tier:
 
+        * ``"interpreter"`` (the default) fetches, decodes, executes
+          and times every instruction;
         * ``"replay"`` decodes the program once into a compiled trace
           (see :mod:`repro.rv64.replay`) and replays the bound
           closures, skipping fetch/decode and the per-instruction
@@ -214,33 +222,26 @@ class Machine:
           count are identical to the interpreter's for a run from
           :meth:`reset` (the cycle cost of straight-line code is a
           static property of the trace, so the attached pipeline model
-          is left untouched);
-        * ``"aot"`` fuses the whole trace into wide-int expression
-          dataflow (see :mod:`repro.rv64.aot`) — address arithmetic and
-          mask setup constant-fold away, carry chains collapse into
-          fused expressions, same bit-exact contract.
+          is left untouched).  The request silently falls back to the
+          interpreter whenever exactness cannot be guaranteed —
+          internal control flow, trace hooks, cache-enabled timing,
+          ``setup_return=False``; the result's ``engine`` field
+          reports what actually ran.
 
-        A requested tier silently demotes down the aot → replay →
-        interpreter ladder whenever exactness cannot be guaranteed —
-        internal control flow, trace hooks, cache-enabled timing,
-        ``setup_return=False``, a codegen refusal; the result's
-        ``engine`` field reports what actually ran.
+        ``"aot"`` raises :class:`~repro.errors.SimulationError`: whole-
+        kernel fusion needs the kernel's operand layout, so that tier
+        is served by :class:`~repro.kernels.runner.KernelRunner`.
         """
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         if engine == "aot":
-            if self._trace_hooks:
-                telemetry.record_aot_demotion("trace_hooks")
-            elif not setup_return:
-                telemetry.record_aot_demotion("no_setup_return")
-            else:
-                aotfn = self._aot_for(entry)
-                if aotfn is not None:
-                    return self._run_aot(aotfn, stack_top)
-                telemetry.record_aot_demotion("not_compilable")
-            engine = "replay"  # demote one rung; replay re-checks below
+            raise SimulationError(
+                "Machine.run serves the interpreter and replay engines; "
+                "the aot tier fuses a whole kernel around its operand "
+                "layout, so run it through KernelRunner(engine='aot')"
+            )
         if engine == "replay":
             if self._trace_hooks:
                 telemetry.record_replay_fallback("trace_hooks")
@@ -333,37 +334,14 @@ class Machine:
         """Whether the program at *entry* compiles to a replay trace."""
         return self._trace_for(entry) is not None
 
-    def _aot_for(self, entry: int):
-        """Compile (once) and cache the fused aot function for *entry*."""
-        aotfn = self._aot_cache.get(entry)
-        if aotfn is not None:
-            return aotfn
-        if entry in self._aot_rejected:
-            return None
-        from repro.rv64.aot import AotError, compile_aot
-
-        start = perf_counter()
-        try:
-            aotfn = compile_aot(self, entry)
-        except AotError as exc:
-            telemetry.record_aot_reject(exc.reason)
-            self._aot_rejected.add(entry)
-            return None
-        telemetry.record_aot_compile(perf_counter() - start)
-        self._aot_cache[entry] = aotfn
-        return aotfn
-
     def aot_supported(self, entry: int) -> bool:
-        """Whether the program at *entry* fuses into an aot function.
+        """Whether a live aot entry thunk is bound for *entry*.
 
-        An entry thunk bound from a disk artifact counts as supported
-        *without* compiling the machine-level function — compiling it
-        would need the replay trace, defeating the warm start the
-        artifact exists to provide.
+        A cache lookup: :class:`~repro.kernels.runner.KernelRunner`
+        compiles (or binds from a disk artifact) the thunk when it is
+        built, and invalidation or fault poisoning pops it.
         """
-        if entry in self._aot_cache or entry in self._aot_entry_cache:
-            return True
-        return self._aot_for(entry) is not None
+        return entry in self._aot_entry_cache
 
     def invalidate_trace(self, entry: int) -> bool:
         """Drop the cached replay trace for *entry*; returns whether one
@@ -372,20 +350,16 @@ class Machine:
         This is the recovery primitive of the hardened execution layer
         (see ``docs/ROBUSTNESS.md``): a trace suspected of corruption is
         invalidated and the next fast-tier run recompiles it from the
-        (immutable) program image.  The compiled aot functions are
-        dropped alongside the trace — they were generated *from* the
-        suspect trace, so restoring trust means evicting every derived
-        tier, including the entry's on-disk aot artifact (the
-        persisted copy is just the compiled tier serialised).  Previous
-        rejections are also forgotten, so a once-unreplayable entry
-        gets re-examined.
+        (immutable) program image.  The aot entry thunk is dropped
+        alongside the trace — it was generated *from* the suspect
+        trace, so restoring trust means evicting every derived tier,
+        including the entry's on-disk aot artifact (the persisted copy
+        is just the compiled tier serialised); a rebuilt runner fuses
+        afresh.  Previous rejections are also forgotten, so a
+        once-unreplayable entry gets re-examined.
         """
         self._replay_rejected.discard(entry)
-        self._aot_rejected.discard(entry)
-        dropped_aot = self._aot_cache.pop(entry, None) is not None
         if self._aot_entry_cache.pop(entry, None) is not None:
-            dropped_aot = True
-        if dropped_aot:
             telemetry.record_aot_evicted()
         if self.aot_disk_key is not None:
             from repro.rv64.artifacts import invalidate_artifact
@@ -416,22 +390,4 @@ class Machine:
                 else Counter()
             ),
             engine="replay",
-        )
-
-    def _run_aot(self, aotfn, stack_top: int) -> ExecutionResult:
-        """Execute a fused aot function; mirrors one replayed run."""
-        state = self.state
-        aotfn.fn(state.regs._regs, stack_top)
-        state.pc = aotfn.exit_pc
-        state.halted = aotfn.halts
-        telemetry.record_machine_run("aot")
-        return ExecutionResult(
-            instructions_retired=aotfn.instructions_retired,
-            cycles=aotfn.cycles,
-            histogram=(
-                Counter(aotfn.histogram)
-                if self.collect_histogram
-                else Counter()
-            ),
-            engine="aot",
         )

@@ -134,25 +134,6 @@ def test_every_generated_kernel_is_aot_exact():
             assert_three_way_exact(runner, runner.kernel.sampler(rng))
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_aot_histogram_identical(variant):
-    """Dynamic mnemonic histograms agree across the fused tier."""
-    runner = runner_for(f"{OP_FP_MUL}.{variant}")
-    machine = runner.machine
-    machine.collect_histogram = True
-    try:
-        machine.reset()
-        interp = machine.run(runner.entry)
-        machine.reset()
-        fused = machine.run(runner.entry, engine="aot")
-        assert fused.engine == "aot"
-        assert sum(fused.histogram.values()) \
-            == fused.instructions_retired
-        assert fused.histogram == interp.histogram
-    finally:
-        machine.collect_histogram = False
-
-
 def test_aot_cycles_match_golden_snapshot():
     """aot-engine cycle counts equal the pinned golden snapshot —
     whole-kernel fusion cannot move the paper's headline numbers."""
@@ -176,6 +157,26 @@ def test_aot_entry_is_compiled_once_and_reused():
     runner.run(*runner.kernel.sampler(rng), check=False, engine="aot")
     assert machine._aot_entry_cache[runner.entry] is entry_first
     assert runner._aot_thunk is thunk_first
+
+
+def test_hardened_aot_runner_fuses_each_kernel_once(monkeypatch,
+                                                    tmp_path):
+    """Checked runs use the runner's entry thunk, not a second fused
+    function: one fusion on a cold artifact cache, none on a warm one."""
+    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "hardened"))
+    kernel = cached_kernels(csidh_toy().p)[f"{OP_FP_MUL}.reduced.ise"]
+    rng = random.Random(13)
+    for want in (1, 0):  # cold cache, then warm
+        with telemetry.capture(fresh=True) as cap:
+            runner = KernelRunner(kernel, engine="aot", checked=True,
+                                  check_interval=1)
+            for _ in range(3):
+                runner.run(*kernel.sampler(rng))
+        registry = cap.registry
+        assert registry.counter("aot_compiles_total").total() == want
+        assert registry.counter("checked_runs_total").total() == 3
+        assert registry.counter("machine_runs_total").value(
+            engine="aot") == 3
 
 
 def test_batch_matches_looped_singles():

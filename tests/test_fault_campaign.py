@@ -230,3 +230,24 @@ class TestAotFaultSymmetry:
         assert report.engine == "aot"
         assert report.escaped == 0
         assert report.recovery_rate >= 0.9
+
+
+class TestHookSitesEngineIndependent:
+    """Hook sites (``register_flip``, ``memory_flip``) fire inside an
+    interpreter run whatever engine the context asked for, so each
+    trial's outcome must not depend on the engine — in particular a
+    masked flip must not read as a cycle-count fault on a fast tier."""
+
+    def test_hook_site_outcomes_match_across_engines(self):
+        from repro.fault.plan import SITE_MEMORY_FLIP, SITE_REGISTER_FLIP
+        from repro.rv64.machine import ENGINES
+
+        outcomes = {}
+        for engine in ENGINES:
+            report = run_campaign(
+                csidh_toy().p, seed=1, n=12, engine=engine,
+                sites=(SITE_REGISTER_FLIP, SITE_MEMORY_FLIP))
+            outcomes[engine] = [(t.site, t.outcome)
+                                for t in report.trials]
+        assert outcomes["replay"] == outcomes["interpreter"]
+        assert outcomes["aot"] == outcomes["interpreter"]

@@ -16,6 +16,7 @@ from repro.kernels.registry import (
 )
 from repro.kernels.runner import KernelRunner, run_kernel
 from repro.kernels.spec import ALL_VARIANTS, TABLE4_OPERATIONS
+from repro.rv64.machine import ENGINES
 from repro.rv64.pipeline import PipelineConfig
 
 
@@ -221,8 +222,8 @@ class TestEngineSelection:
 
     def test_checked_batch_takes_the_scalar_path(self, toy_params,
                                                  rng):
-        """Hardened runners demote batches to per-item scalar runs so
-        every safety check still fires."""
+        """Hardened batches run every item through the shared per-item
+        path, so every safety check still fires."""
         clear_runner_pool()
         p = toy_params.p
         runner = cached_runner(p, "fp_add.reduced.ise", checked=True,
@@ -233,3 +234,21 @@ class TestEngineSelection:
         assert [r.value for r in runs] \
             == [(a + b) % p for a, b in sets]
         clear_runner_pool()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_hooked_runs_report_interpreter_cycles(self, toy_params,
+                                                   engine):
+        """A trace hook sends every engine to the interpreter from a
+        reset machine: consecutive hooked runs each report one run's
+        cycles, never a running total of the pipeline model."""
+        kernel = cached_kernels(toy_params.p)["fp_mul.reduced.ise"]
+        expected = KernelRunner(kernel).run(3, 5).cycles
+        runner = KernelRunner(kernel, engine=engine)
+        seen = []
+        with runner.machine.trace_hook(lambda state, ins: seen.append(1)):
+            first = runner.run(3, 5)
+            second = runner.run(7, 11)
+            batched = runner.run_batch([(3, 5), (7, 11)])
+        assert [first.cycles, second.cycles] == [expected, expected]
+        assert [r.cycles for r in batched] == [expected, expected]
+        assert len(seen) == 4 * first.instructions

@@ -16,23 +16,30 @@ A final guard asserts this file covers every declared reason, so a new
 rejection reason cannot land without its fallback test.
 
 The second half applies the same discipline one tier up: every
-:class:`~repro.rv64.aot.AotError` reason and every demotion reason on
-the aot → replay → interpreter ladder
-(:data:`repro.rv64.aot.DEMOTION_REASONS`) gets a test asserting the
-refusal counter (``aot_rejects_total{reason=...}``), the demotion
-counter (``aot_demotions_total{reason=...}``), the engine that
-actually served the run, and exactness against the interpreter.
+:class:`~repro.rv64.aot.AotError` reason gets a refusal test against
+:func:`~repro.rv64.aot.compile_aot_entry` (the tier's only code
+generator), and every demotion reason on the aot → replay →
+interpreter ladder (:data:`repro.rv64.aot.DEMOTION_REASONS`) gets a
+:class:`~repro.kernels.runner.KernelRunner` test asserting the refusal
+counter (``aot_rejects_total{reason=...}``), the demotion counter
+(``aot_demotions_total{reason=...}``), the engine that actually served
+the run, and exactness against the interpreter.  The aot tier lives in
+the runner alone, so ``Machine.run(engine="aot")`` refuses.
 """
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
 from repro import telemetry
 from repro.core.ise import EXTENDED_ISA
+from repro.csidh.parameters import csidh_toy
 from repro.errors import SimulationError
+from repro.kernels.registry import cached_kernels
+from repro.kernels.runner import KernelRunner
 from repro.rv64.assembler import assemble
 from repro.rv64.machine import Machine
 from repro.rv64.pipeline import (
@@ -42,8 +49,7 @@ from repro.rv64.pipeline import (
 )
 from repro.mpi.representation import Radix
 from repro.rv64 import aot as aot_module
-from repro.rv64.aot import AotError, compile_aot, compile_aot_entry
-from repro.rv64.machine import HALT_ADDRESS
+from repro.rv64.aot import AotError, compile_aot_entry
 from repro.rv64.replay import ReplayError, compile_trace
 
 #: reason -> the assembly that provokes it (straight-line unless noted)
@@ -213,6 +219,38 @@ def _entry_thunk_kwargs():
     )
 
 
+@pytest.fixture
+def cold_artifacts(monkeypatch, tmp_path):
+    """An empty artifact cache: runner construction really fuses."""
+    monkeypatch.setenv("REPRO_AOT_CACHE", str(tmp_path / "aot"))
+
+
+def _toy_kernel(name: str):
+    return cached_kernels(csidh_toy().p)[name]
+
+
+def _runner_demotion(kernel, *, expected_engine: str, config=ROCKET_CONFIG,
+                     hook=None):
+    """Run *kernel* once on an aot runner and once on an interpreter
+    runner; return the aot runner's telemetry capture after asserting
+    the demoted run served *expected_engine* and matched bit for bit."""
+    values = kernel.sampler(random.Random(7))
+    with telemetry.capture(fresh=True) as cap:
+        runner = KernelRunner(kernel, pipeline_config=config,
+                              engine="aot")
+        if hook is not None:
+            runner.machine.add_trace_hook(hook)
+        run = runner.run(*values)
+    expected = KernelRunner(kernel, pipeline_config=config).run(*values)
+    assert (run.value, run.limbs, run.cycles, run.instructions) \
+        == (expected.value, expected.limbs, expected.cycles,
+            expected.instructions)
+    runs = cap.registry.counter("machine_runs_total")
+    assert runs.value(engine=expected_engine) == 1
+    assert runs.total() == 1
+    return cap
+
+
 class TestAotNotReplayable:
     """Unreplayable programs refuse fusion for the same root cause,
     and an aot request demotes all the way to the interpreter."""
@@ -222,30 +260,20 @@ class TestAotNotReplayable:
     def test_rejected(self):
         machine, entry = _machine(self.SOURCE)
         with pytest.raises(AotError) as excinfo:
-            compile_aot(machine, entry)
+            compile_aot_entry(machine, entry, **_entry_thunk_kwargs())
         assert excinfo.value.reason == "not_replayable"
         assert excinfo.value.code == "aot"
 
-    def test_demotes_to_interpreter_bit_for_bit(self):
-        with telemetry.capture(fresh=True) as cap:
-            machine, entry = _machine(self.SOURCE)
-            result = machine.run(entry, engine="aot")
-        plain, entry2 = _machine(self.SOURCE)
-        expected = plain.run(entry2)
-
-        assert result.engine == "interpreter"
-        assert result.instructions_retired \
-            == expected.instructions_retired
-        assert result.cycles == expected.cycles
-        assert machine.regs.snapshot() == plain.regs.snapshot()
-
+    def test_demotes_to_interpreter_bit_for_bit(self, cold_artifacts):
+        # cache-enabled timing refuses the replay trace, so the kernel
+        # neither fuses nor replays
+        cap = _runner_demotion(_toy_kernel("fp_mul.reduced.ise"),
+                               expected_engine="interpreter",
+                               config=ROCKET_CONFIG_WITH_CACHES)
         rejects = cap.registry.counter("aot_rejects_total")
         assert rejects.value(reason="not_replayable") == 1
         demotions = cap.registry.counter("aot_demotions_total")
         assert demotions.value(reason="not_compilable") == 1
-        # ...and the replay rung below then falls back too
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
 
 
 class TestAotUnsupportedOp:
@@ -260,19 +288,16 @@ class TestAotUnsupportedOp:
         ret
     """
 
-    def test_rejected_and_replay_serves(self):
+    def test_rejected_and_replay_serves(self, cold_artifacts):
         original = aot_module._EXPRS.pop("maddlu")
         try:
             machine, entry = _machine(self.SOURCE)
             with pytest.raises(AotError) as excinfo:
-                compile_aot(machine, entry)
+                compile_aot_entry(machine, entry, **_entry_thunk_kwargs())
             assert excinfo.value.reason == "unsupported_op"
 
-            with telemetry.capture(fresh=True) as cap:
-                machine2, entry2 = _machine(self.SOURCE)
-                result = machine2.run(entry2, engine="aot")
-            assert result.engine == "replay"
-            assert machine2.regs["a0"] == 3 * 4 + 5
+            cap = _runner_demotion(_toy_kernel("fp_mul.full.ise"),
+                                   expected_engine="replay")
             rejects = cap.registry.counter("aot_rejects_total")
             assert rejects.value(reason="unsupported_op") == 1
             demotions = cap.registry.counter("aot_demotions_total")
@@ -321,20 +346,17 @@ class TestAotCodegenError:
     with ``codegen_error`` and demotes ONE rung — the trace is healthy,
     so the replay engine serves the run."""
 
-    def test_rejected_and_replay_serves(self):
+    def test_rejected_and_replay_serves(self, cold_artifacts):
         original = aot_module._EXPRS.get("addi")
         aot_module._EXPRS["addi"] = ("i", "r1 = = broken(")
         try:
             machine, entry = _machine(_STRAIGHT)
             with pytest.raises(AotError) as excinfo:
-                compile_aot(machine, entry)
+                compile_aot_entry(machine, entry, **_entry_thunk_kwargs())
             assert excinfo.value.reason == "codegen_error"
 
-            with telemetry.capture(fresh=True) as cap:
-                machine2, entry2 = _machine(_STRAIGHT)
-                result = machine2.run(entry2, engine="aot")
-            assert result.engine == "replay"
-            assert machine2.regs["a0"] == 42
+            cap = _runner_demotion(_toy_kernel("fp_add.reduced.isa"),
+                                   expected_engine="replay")
             rejects = cap.registry.counter("aot_rejects_total")
             assert rejects.value(reason="codegen_error") == 1
             demotions = cap.registry.counter("aot_demotions_total")
@@ -351,47 +373,40 @@ class TestAotTraceHooks:
     observes every retired instruction."""
 
     def test_demotes_and_hook_fires(self):
-        machine, entry = _machine(_STRAIGHT)
         seen = []
-        machine.add_trace_hook(lambda state, ins: seen.append(
-            ins.mnemonic))
-        with telemetry.capture(fresh=True) as cap:
-            result = machine.run(entry, engine="aot")
-        assert result.engine == "interpreter"
-        assert len(seen) == result.instructions_retired
+        cap = _runner_demotion(
+            _toy_kernel("fp_mul.reduced.ise"),
+            expected_engine="interpreter",
+            hook=lambda state, ins: seen.append(ins.mnemonic))
+        assert len(seen) == cap.registry.counter(
+            "kernel_instructions_total").total()
         demotions = cap.registry.counter("aot_demotions_total")
         assert demotions.value(reason="trace_hooks") == 1
-        assert machine.regs["a0"] == 42
+        # ...and the replay rung below then falls back too
+        fallbacks = cap.registry.counter("replay_fallback_total")
+        assert fallbacks.value(reason="trace_hooks") == 1
 
 
-class TestAotNoSetupReturn:
-    """``setup_return=False`` means the caller owns ra/sp; the fused
-    thunk bakes the from-reset contract in and must demote."""
+class TestMachineRunRefusesAot:
+    """The aot tier needs a kernel's operand layout, so the raw machine
+    refuses it and names the runner instead of demoting silently."""
 
-    def test_demotes_and_matches_interpreter(self):
+    def test_raises_and_names_kernel_runner(self):
         machine, entry = _machine(_STRAIGHT)
-        machine.state.regs.write("ra", HALT_ADDRESS)
-        with telemetry.capture(fresh=True) as cap:
-            result = machine.run(entry, setup_return=False,
-                                 engine="aot")
-        plain, entry2 = _machine(_STRAIGHT)
-        plain.state.regs.write("ra", HALT_ADDRESS)
-        expected = plain.run(entry2, setup_return=False)
-
-        assert result.engine == "interpreter"
-        assert result.cycles == expected.cycles
-        assert machine.regs.snapshot() == plain.regs.snapshot()
-        demotions = cap.registry.counter("aot_demotions_total")
-        assert demotions.value(reason="no_setup_return") == 1
+        with pytest.raises(SimulationError, match="KernelRunner"):
+            machine.run(entry, engine="aot")
+        assert not machine.aot_supported(entry)
 
 
-def test_aot_rejection_is_cached_not_retried():
+def test_aot_rejection_is_cached_not_retried(cold_artifacts):
     """A refused entry is remembered; later aot requests demote
     without re-running the fuser."""
     with telemetry.capture(fresh=True) as cap:
-        machine, entry = _machine(TestControlFlow.SOURCE)
-        machine.run(entry, engine="aot")
-        machine.run(entry, engine="aot")
+        runner = KernelRunner(_toy_kernel("fp_add.reduced.ise"),
+                              pipeline_config=ROCKET_CONFIG_WITH_CACHES,
+                              engine="aot")
+        runner.run(3, 5)
+        runner.run(3, 5)
         rejects = cap.registry.counter("aot_rejects_total")
         assert rejects.value(reason="not_replayable") == 1
         demotions = cap.registry.counter("aot_demotions_total")
@@ -405,6 +420,6 @@ def test_every_declared_aot_reason_is_covered():
     tested = set(re.findall(r'"(not_replayable|unsupported_op|'
                             r'dynamic_address|unsupported_access|'
                             r'codegen_error|not_compilable|'
-                            r'trace_hooks|no_setup_return)"', source))
+                            r'trace_hooks)"', source))
     assert tested == (set(AotError.REASONS)
                       | set(aot_module.DEMOTION_REASONS))
