@@ -452,16 +452,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 context.add(x, x)
                 context.sub(x, 1)
                 wall = time.perf_counter() - start
-            counters = cap.registry.counter
+            artifacts = cap.registry.breakdown("aot_artifacts_total",
+                                               "event")
             aot_start[phase] = {
                 "wall_s": wall,
-                "artifact_hits":
-                    counters("aot_artifact_hits_total").total(),
-                "artifact_misses":
-                    counters("aot_artifact_misses_total").total(),
-                "artifact_writes":
-                    counters("aot_artifact_writes_total").total(),
-                "compiles": counters("aot_compiles_total").total(),
+                "artifact_hits": artifacts.get("hit", 0),
+                "artifact_misses": artifacts.get("miss", 0),
+                "artifact_writes": artifacts.get("write", 0),
+                "compiles": cap.registry.total("engine_compiles_total",
+                                               engine="aot"),
             }
         clear_runner_pool()
         for phase, row in aot_start.items():

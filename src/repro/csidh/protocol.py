@@ -120,7 +120,8 @@ class Csidh:
                 valid = is_supersingular(
                     self.params, self.field, coefficient, self._rng)
             if not valid:
-                telemetry.record_fault_detected(what, "protocol")
+                telemetry.inc("faults_detected_total", where=what,
+                              engine="protocol")
                 raise FaultDetectedError(
                     f"{what} is not a supersingular curve; the group "
                     f"action was corrupted mid-walk (withholding the "

@@ -63,7 +63,7 @@ _REPORT_METRICS = (
     "fault_recoveries_total",
     "checked_runs_total",
     "runner_evictions_total",
-    "trace_invalidations_total",
+    "engine_evictions_total",
 )
 
 

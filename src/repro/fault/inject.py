@@ -260,5 +260,6 @@ def arm_fault(runner: KernelRunner, site: FaultSite) -> ArmedFault:
 def arm_and_record(runner: KernelRunner, site: FaultSite) -> ArmedFault:
     """:func:`arm_fault` plus the telemetry injection event."""
     armed = arm_fault(runner, site)
-    telemetry.record_fault_injected(site.site, armed.kernel)
+    telemetry.inc("faults_injected_total", site=site.site,
+                  kernel=armed.kernel)
     return armed

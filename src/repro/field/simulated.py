@@ -212,7 +212,8 @@ class SimulatedFieldContext(FieldContext):
             cfg.clock = 0
             if value != reference():
                 self.fault_detections += 1
-                telemetry.record_fault_detected(operation, "context")
+                telemetry.inc("faults_detected_total", where=operation,
+                              engine="context")
                 return self._recover(operation, slots, compute,
                                      reference, None)
         return value
@@ -247,9 +248,11 @@ class SimulatedFieldContext(FieldContext):
                 continue
             if value == reference():
                 self.fault_recoveries += 1
-                telemetry.record_fault_recovery(operation, "recovered")
+                telemetry.inc("fault_recoveries_total", operation=operation,
+                              outcome="recovered")
                 return value
-        telemetry.record_fault_recovery(operation, "exhausted")
+        telemetry.inc("fault_recoveries_total", operation=operation,
+                      outcome="exhausted")
         raise RecoveryExhaustedError(
             f"{operation} still diverged from the pure-Python "
             f"reference after {cfg.max_attempts} interpreter "

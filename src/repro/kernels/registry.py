@@ -302,6 +302,12 @@ _RUNNER_POOL: dict[
 _POOL_LOCK = threading.RLock()
 
 
+def _record_pool_lookup(outcome: str) -> None:
+    """Count one pool lookup and publish the pool size (pool lock held)."""
+    telemetry.inc("runner_pool_lookups_total", outcome=outcome)
+    telemetry.set_gauge("runner_pool_size", len(_RUNNER_POOL))
+
+
 def cached_runner(
     modulus: int,
     name: str,
@@ -348,9 +354,9 @@ def cached_runner(
     per-tier.
 
     Pool traffic is observable: telemetry counts hits and misses
-    (``runner_pool_hits_total`` / ``runner_pool_misses_total``) and
-    tracks the pool size, so a workload that keeps re-assembling
-    kernels shows up immediately in ``repro profile`` output.
+    (``runner_pool_lookups_total{outcome}``) and tracks the pool size,
+    so a workload that keeps re-assembling kernels shows up
+    immediately in ``repro profile`` output.
     """
     key = (modulus, name, pipeline_config, checked, engine, scope)
     with _POOL_LOCK:
@@ -358,7 +364,7 @@ def cached_runner(
         if runner is not None:
             if checked and check_interval is not None:
                 runner.enable_checked(check_interval)
-            telemetry.record_pool_access(True, len(_RUNNER_POOL))
+            _record_pool_lookup("hit")
             return runner
     kernel = cached_kernels(modulus).get(name)
     if kernel is None:
@@ -379,10 +385,10 @@ def cached_runner(
             # caller for this key observes the same object
             if checked and check_interval is not None:
                 winner.enable_checked(check_interval)
-            telemetry.record_pool_access(True, len(_RUNNER_POOL))
+            _record_pool_lookup("hit")
             return winner
         _RUNNER_POOL[key] = runner
-        telemetry.record_pool_access(False, len(_RUNNER_POOL))
+        _record_pool_lookup("miss")
     return runner
 
 
@@ -409,7 +415,7 @@ def evict_runner(
             None)
     if runner is None:
         return False
-    telemetry.record_runner_evicted(name)
+    telemetry.inc("runner_evictions_total", kernel=name)
     return True
 
 

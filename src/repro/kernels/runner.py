@@ -235,9 +235,12 @@ class KernelRunner:
                     stack_top=DEFAULT_STACK_TOP,
                 )
             except AotError as exc:
-                telemetry.record_aot_reject(exc.reason)
+                telemetry.inc("engine_rejects_total", engine="aot",
+                              reason=exc.reason)
                 return
-            telemetry.record_aot_compile(perf_counter() - start)
+            telemetry.inc("engine_compiles_total", engine="aot")
+            telemetry.observe("engine_compile_seconds",
+                              perf_counter() - start, engine="aot")
         machine._aot_entry_cache[entry] = aot
         machine.aot_disk_key = key
         self._aot_thunk = aot.fn
@@ -304,10 +307,11 @@ class KernelRunner:
         """Sampled checked-mode validation; raises FaultDetectedError."""
         kernel = self.kernel
         hardening = self._hardening
-        telemetry.record_checked_run(kernel.name)
+        telemetry.inc("checked_runs_total", kernel=kernel.name)
         expected = kernel.reference(*values)
         if value != expected:
-            telemetry.record_fault_detected(kernel.name, engine)
+            telemetry.inc("faults_detected_total", where=kernel.name,
+                          engine=engine)
             raise FaultDetectedError(
                 f"{kernel.name}: checked run diverged from the "
                 f"pure-Python reference: got {value:#x}, expected "
@@ -317,7 +321,8 @@ class KernelRunner:
             if hardening.cycle_baseline is None:
                 hardening.cycle_baseline = cycles
             elif cycles != hardening.cycle_baseline:
-                telemetry.record_fault_detected(kernel.name, engine)
+                telemetry.inc("faults_detected_total", where=kernel.name,
+                              engine=engine)
                 raise FaultDetectedError(
                     f"{kernel.name}: cycle count {cycles} != "
                     f"baseline {hardening.cycle_baseline} — impossible "
@@ -344,20 +349,23 @@ class KernelRunner:
         demotion ladder.
 
         Each rung demotes exactly one step when its precondition fails.
-        aot demotions are counted (``aot_demotions_total``): an attached
-        trace hook as ``trace_hooks``, a missing entry thunk (refused
-        at construction, or evicted by invalidation or fault poisoning)
+        aot demotions are counted in ``engine_demotions_total``
+        (``engine_from="aot"``): an attached trace hook as
+        ``trace_hooks``, a missing entry thunk (refused at
+        construction, or evicted by invalidation or fault poisoning)
         as ``not_compilable``.  The replay -> interpreter step is
         silent here (:meth:`Machine.run` records the per-run fallback).
         """
         machine = self.machine
         if engine == "aot":
             if machine._trace_hooks:
-                telemetry.record_aot_demotion("trace_hooks")
+                reason = "trace_hooks"
             elif self.entry in machine._aot_entry_cache:
                 return engine
             else:
-                telemetry.record_aot_demotion("not_compilable")
+                reason = "not_compilable"
+            telemetry.inc("engine_demotions_total", engine_from="aot",
+                          engine_to="replay", reason=reason)
             engine = "replay"
         else:
             _validate_engine(engine)
@@ -406,7 +414,7 @@ class KernelRunner:
             result = machine._replay(trace, DEFAULT_STACK_TOP)
         else:
             # a fast-engine request still asks Machine.run for replay,
-            # which records the replay_fallback_total{reason}
+            # which records the replay -> interpreter demotion reason
             result = machine.run(
                 self.entry, engine="replay" if engine == "aot" else engine)
         raw = machine.mem.read_bytes(RESULT_ADDR,
@@ -433,7 +441,6 @@ class KernelRunner:
         """
         out = None if thunk is None else thunk(*values)
         if out is not None:
-            telemetry.record_machine_run(engine)
             ran = engine
         else:
             ran, out = self._execute(values, engine)
@@ -461,7 +468,8 @@ class KernelRunner:
         if check:
             expected = kernel.reference(*values)
             if value != expected:
-                telemetry.record_kernel_check_failure(kernel.name)
+                telemetry.inc("kernel_check_failures_total",
+                              kernel=kernel.name)
                 raise KernelError(
                     f"{kernel.name} produced {value:#x}, "
                     f"expected {expected:#x} for inputs "
@@ -566,7 +574,10 @@ class KernelRunner:
         run_item = self._run_item
         runs = [run_item(values, engine, thunk, check)
                 for values in operand_sets]
-        telemetry.record_kernel_batch(kernel.name, engine, len(runs))
+        telemetry.inc("kernel_batches_total", kernel=kernel.name,
+                      engine=engine)
+        telemetry.inc("kernel_batch_items_total", len(runs),
+                      kernel=kernel.name, engine=engine)
         return runs
 
     def measure_cycles(self, *values: int) -> int:

@@ -82,8 +82,9 @@ class AotError(SimulationError):
     """The trace cannot be fused into a whole-kernel aot function.
 
     ``reason`` is a short machine-readable code used by telemetry's
-    ``aot_rejects_total{reason=...}`` counter; the caller demotes to
-    the replay tier (which may itself fall back to the interpreter).
+    ``engine_rejects_total{engine="aot", reason}`` counter; the caller
+    demotes to the replay tier (which may itself fall back to the
+    interpreter).
     """
 
     code = "aot"
@@ -98,8 +99,9 @@ class AotError(SimulationError):
         self.reason = reason
 
 
-#: Run-level demotion reasons recorded by ``aot_demotions_total``
-#: (by :class:`~repro.kernels.runner.KernelRunner`): a compile refusal
+#: Run-level demotion reasons recorded in ``engine_demotions_total``
+#: with ``engine_from="aot"`` (by
+#: :class:`~repro.kernels.runner.KernelRunner`): a compile refusal
 #: or an evicted thunk surfaces as ``not_compilable``, an attached
 #: trace hook as ``trace_hooks``.
 DEMOTION_REASONS = ("not_compilable", "trace_hooks")

@@ -23,8 +23,8 @@ This module persists compiled thunks as small JSON artifacts:
   mismatch, truncation or hand-edit makes :func:`load_artifact`
   *delete* the file and return ``None`` — the caller re-traces and
   re-writes, so corruption costs one cold start, never a wrong answer;
-* **observable**: hits, misses, writes and invalidations feed the
-  ``aot_artifact_*`` telemetry families (``docs/OBSERVABILITY.md``).
+* **observable**: hits, misses, writes and invalidations are the
+  ``event`` label of ``aot_artifacts_total`` (``docs/OBSERVABILITY.md``).
 
 The cache directory defaults to ``~/.cache/repro/aot`` and is
 overridden with ``REPRO_AOT_CACHE`` (CI points it at a workspace-local
@@ -40,12 +40,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.telemetry import (
-    record_artifact_cache_hit,
-    record_artifact_cache_miss,
-    record_artifact_cache_write,
-    record_artifact_invalidated,
-)
+from repro import telemetry
 
 #: Bump whenever the artifact payload shape *or* the generated-source
 #: calling convention changes; old artifacts then read as corrupt and
@@ -172,7 +167,7 @@ def store_artifact(
             raise
     except OSError:
         return None
-    record_artifact_cache_write()
+    telemetry.inc("aot_artifacts_total", event="write")
     return path
 
 
@@ -189,7 +184,7 @@ def load_artifact(key: ArtifactKey) -> dict | None:
     try:
         raw = path.read_text()
     except OSError:
-        record_artifact_cache_miss()
+        telemetry.inc("aot_artifacts_total", event="miss")
         return None
     try:
         payload = json.loads(raw)
@@ -214,10 +209,10 @@ def load_artifact(key: ArtifactKey) -> dict | None:
             path.unlink()
         except OSError:
             pass
-        record_artifact_invalidated()
-        record_artifact_cache_miss()
+        telemetry.inc("aot_artifacts_total", event="invalidation")
+        telemetry.inc("aot_artifacts_total", event="miss")
         return None
-    record_artifact_cache_hit()
+    telemetry.inc("aot_artifacts_total", event="hit")
     return payload
 
 
@@ -229,7 +224,7 @@ def invalidate_artifact(key: ArtifactKey) -> bool:
         path.unlink()
     except OSError:
         return False
-    record_artifact_invalidated()
+    telemetry.inc("aot_artifacts_total", event="invalidation")
     return True
 
 

@@ -244,14 +244,16 @@ class Machine:
             )
         if engine == "replay":
             if self._trace_hooks:
-                telemetry.record_replay_fallback("trace_hooks")
+                reason = "trace_hooks"
             elif not setup_return:
-                telemetry.record_replay_fallback("no_setup_return")
+                reason = "no_setup_return"
             else:
                 trace = self._trace_for(entry)
                 if trace is not None:
                     return self._replay(trace, stack_top)
-                telemetry.record_replay_fallback("not_replayable")
+                reason = "not_replayable"
+            telemetry.inc("engine_demotions_total", engine_from="replay",
+                          engine_to="interpreter", reason=reason)
         state = self.state
         if setup_return:
             state.regs.write("ra", HALT_ADDRESS)
@@ -304,7 +306,6 @@ class Machine:
                     f"step limit {limit} exceeded at pc {state.pc:#x}"
                 )
 
-        telemetry.record_machine_run("interpreter")
         return ExecutionResult(
             instructions_retired=retired,
             cycles=pipeline.cycles if pipeline else None,
@@ -323,10 +324,11 @@ class Machine:
             try:
                 trace = compile_trace(self, entry)
             except ReplayError as exc:
-                telemetry.record_trace_reject(exc.reason)
+                telemetry.inc("engine_rejects_total", engine="replay",
+                              reason=exc.reason)
                 self._replay_rejected.add(entry)
                 return None
-            telemetry.record_trace_compile()
+            telemetry.inc("engine_compiles_total", engine="replay")
             self._trace_cache[entry] = trace
         return trace
 
@@ -360,14 +362,14 @@ class Machine:
         """
         self._replay_rejected.discard(entry)
         if self._aot_entry_cache.pop(entry, None) is not None:
-            telemetry.record_aot_evicted()
+            telemetry.inc("engine_evictions_total", engine="aot")
         if self.aot_disk_key is not None:
             from repro.rv64.artifacts import invalidate_artifact
 
             invalidate_artifact(self.aot_disk_key)
         removed = self._trace_cache.pop(entry, None) is not None
         if removed:
-            telemetry.record_trace_invalidated()
+            telemetry.inc("engine_evictions_total", engine="replay")
         return removed
 
     def _replay(self, trace, stack_top: int) -> ExecutionResult:
@@ -380,7 +382,6 @@ class Machine:
             step()
         state.pc = trace.exit_pc
         state.halted = trace.halts
-        telemetry.record_machine_run("replay")
         return ExecutionResult(
             instructions_retired=trace.instructions_retired,
             cycles=trace.cycles,

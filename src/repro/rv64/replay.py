@@ -75,7 +75,8 @@ class ReplayError(SimulationError):
 
     ``reason`` is a short machine-readable code (``control_flow``,
     ``ra_write``, ``cache_timing``, ``unmapped``, ``step_limit``) used
-    by telemetry's ``trace_rejects_total{reason=...}`` counter.
+    by telemetry's ``engine_rejects_total{engine="replay", reason}``
+    counter.
     """
 
     code = "replay"

@@ -107,10 +107,11 @@ class AdmissionController:
                 self._inflight[tenant] = inflight + 1
                 self._total += 1
                 ticket = Ticket(self, tenant)
-                telemetry.record_service_inflight(tenant, 1)
+                telemetry.inc("service_inflight", tenant=tenant)
                 return ticket
             self._rejected[tenant] = self._rejected.get(tenant, 0) + 1
-        telemetry.record_service_rejected(tenant, reason)
+        telemetry.inc("service_rejections_total", tenant=tenant,
+                      reason=reason)
         raise AdmissionError(
             f"request for tenant {tenant!r} rejected ({reason}): "
             + (f"{inflight}/{capacity} tenant slots in use"
@@ -126,7 +127,7 @@ class AdmissionController:
                     f"release without admit for tenant {tenant!r}")
             self._inflight[tenant] = inflight - 1
             self._total -= 1
-        telemetry.record_service_inflight(tenant, -1)
+        telemetry.inc("service_inflight", -1, tenant=tenant)
 
     # -- introspection -------------------------------------------------------
 
@@ -161,6 +162,15 @@ class AdmissionController:
             if not capacity:
                 return 0.0
             return self._inflight.get(tenant, 0) / capacity
+
+
+#: ``circuit_state`` gauge encoding of the breaker states.
+CIRCUIT_STATES = {"closed": 0, "open": 1, "half_open": 2}
+
+
+def _record_circuit_state(tenant: str, state: str) -> None:
+    telemetry.set_gauge("circuit_state", CIRCUIT_STATES[state],
+                        tenant=tenant)
 
 
 class CircuitBreaker:
@@ -211,7 +221,7 @@ class CircuitBreaker:
         with self._lock:
             self._state.setdefault(tenant, "closed")
             self._failures.setdefault(tenant, 0)
-        telemetry.record_circuit_state(tenant, self.state(tenant))
+        _record_circuit_state(tenant, self.state(tenant))
 
     def _set_state(self, tenant: str, state: str) -> None:
         # caller holds self._lock
@@ -251,9 +261,10 @@ class CircuitBreaker:
                 else:
                     self._probing[tenant] = True
         if transition is not None:
-            telemetry.record_circuit_state(tenant, transition)
+            _record_circuit_state(tenant, transition)
         if state == "rejected":
-            telemetry.record_service_rejected(tenant, "circuit_open")
+            telemetry.inc("service_rejections_total", tenant=tenant,
+                          reason="circuit_open")
             raise CircuitOpenError(
                 f"circuit for tenant {tenant!r} is open; retry after "
                 f"{self._reset_timeout_s:g}s cool-down")
@@ -295,7 +306,7 @@ class CircuitBreaker:
             # outcomes arriving while open (late work from before the
             # trip) carry no information: the circuit waits its timer.
         if transition is not None:
-            telemetry.record_circuit_state(tenant, transition)
+            _record_circuit_state(tenant, transition)
 
     # -- introspection -------------------------------------------------------
 

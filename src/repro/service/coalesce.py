@@ -131,7 +131,8 @@ class RequestCoalescer:
         tracing.finish_batch(batch_ctx, time.perf_counter() - started)
         self.batches_flushed += 1
         self.items_flushed += len(items)
-        telemetry.record_coalesced_batch(op, len(items))
+        telemetry.inc("service_coalesced_batches_total", op=op)
+        telemetry.inc("service_coalesced_items_total", len(items), op=op)
         for (_, future, _, _), value in zip(items, values):
             if not future.done():
                 future.set_result(value)

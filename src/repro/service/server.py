@@ -299,7 +299,7 @@ class KeyExchangeService:
                         where: str) -> DeadlineError:
         self._deadline_exceeded[tenant] = (
             self._deadline_exceeded.get(tenant, 0) + 1)
-        telemetry.record_deadline_exceeded(op, where)
+        telemetry.inc("service_deadline_exceeded_total", op=op, where=where)
         return DeadlineError(
             f"{op} for tenant {tenant!r} exceeded its deadline "
             f"while {where}")
@@ -384,13 +384,15 @@ class KeyExchangeService:
                 else:
                     self.breaker.record(tenant_name, True)
         except Exception:
-            telemetry.record_service_request(tenant_name, op, "error")
+            telemetry.inc("service_requests_total", tenant=tenant_name, op=op,
+                          outcome="error")
             self._note_request(
                 tenant_name, time.perf_counter() - started, ok=False)
             raise
         elapsed = time.perf_counter() - started
-        telemetry.record_service_request(tenant_name, op, "ok")
-        telemetry.record_service_latency(op, elapsed)
+        telemetry.inc("service_requests_total", tenant=tenant_name, op=op,
+                      outcome="ok")
+        telemetry.observe("service_request_seconds", elapsed, op=op)
         self._note_request(tenant_name, elapsed, ok=True)
         return result
 
@@ -505,13 +507,16 @@ class KeyExchangeService:
                 else:
                     self.breaker.record(tenant, True)
         except Exception:
-            telemetry.record_service_request(tenant, "field_op", "error")
+            telemetry.inc("service_requests_total", tenant=tenant,
+                          op="field_op", outcome="error")
             self._note_request(
                 tenant, time.perf_counter() - started, ok=False)
             raise
         elapsed = time.perf_counter() - started
-        telemetry.record_service_request(tenant, "field_op", "ok")
-        telemetry.record_service_latency("field_op", elapsed)
+        telemetry.inc("service_requests_total", tenant=tenant,
+                      op="field_op", outcome="ok")
+        telemetry.observe("service_request_seconds", elapsed,
+                          op="field_op")
         self._note_request(tenant, elapsed, ok=True)
         return result
 

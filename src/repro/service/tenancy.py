@@ -225,8 +225,9 @@ class Tenant:
             self._clean_streak = 0
             self.demotions += 1
             engine_to = ENGINE_LADDER[self._rung]
-        telemetry.record_service_demotion(
-            self.config.name, engine_from, engine_to, reason)
+        telemetry.inc("service_demotions_total", tenant=self.config.name,
+                      engine_from=engine_from, engine_to=engine_to,
+                      reason=reason)
         return True
 
     def note_result(self, clean: bool) -> None:
@@ -244,7 +245,8 @@ class Tenant:
             self._clean_streak = 0
             self.promotions += 1
             engine_to = ENGINE_LADDER[self._rung]
-        telemetry.record_service_promotion(self.config.name, engine_to)
+        telemetry.inc("service_promotions_total", tenant=self.config.name,
+                      engine_to=engine_to)
 
     def close(self) -> None:
         for lane in self.lanes:

@@ -250,14 +250,16 @@ class ShardExecutor:
                 return 0  # duplicate after a requeue race
             records[index] = record
             stats.shards_completed += 1
-            telemetry.record_shard_completed(
-                worker_id,
-                int(record.get("cycles", 0)),
-                int(record.get("instructions", 0)))
+            telemetry.inc("shard_completed_total", worker=worker_id)
+            telemetry.inc("shard_cycles_total",
+                          int(record.get("cycles", 0)), worker=worker_id)
+            telemetry.inc("shard_instructions_total",
+                          int(record.get("instructions", 0)),
+                          worker=worker_id)
             if checkpoint is not None:
                 checkpoint.write(json.dumps(record) + "\n")
                 checkpoint.flush()
-                telemetry.record_shard_checkpoint()
+                telemetry.inc("shard_checkpoint_records_total")
             return 1
         # ("error", id, code, message)
         _tag, worker_id, code, text = message
@@ -310,7 +312,7 @@ class ShardExecutor:
             key=len, default=None)
         if victim is None:
             return None
-        telemetry.record_shard_steal(worker_id)
+        telemetry.inc("shard_steals_total", worker=worker_id)
         self._stats_steal()
         return victim.pop()
 
@@ -321,7 +323,7 @@ class ShardExecutor:
                      *, reason: str) -> None:
         worker = self._workers[worker_id]
         stats.worker_failures += 1
-        telemetry.record_shard_worker_failure(worker_id)
+        telemetry.inc("shard_worker_failures_total", worker=worker_id)
         if worker.process.is_alive():
             worker.process.terminate()
         worker.process.join(timeout=5)
@@ -336,7 +338,7 @@ class ShardExecutor:
                     f"(limit {self.max_requeues}) after worker "
                     f"failures; last failure: {reason}")
             stats.requeues += 1
-            telemetry.record_shard_requeue(index)
+            telemetry.inc("shard_requeues_total", shard=index)
             shortest = min(self._backlogs, key=len)
             shortest.appendleft(index)
         if self._restarts_left <= 0:

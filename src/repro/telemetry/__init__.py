@@ -14,9 +14,12 @@ pieces:
   exporters and the ``BENCH_*.json`` perf-trajectory artifact.
 
 This module owns the **process-global instances** (:data:`TRACER`,
-:data:`REGISTRY`) plus the module-level helpers the rest of the
-codebase calls.  Everything is **disabled by default**: ``span()``
-hands out a shared no-op context manager and every ``record_*`` helper
+:data:`REGISTRY`), the :data:`CATALOGUE` declaring every built-in
+metric family, and the recorders the rest of the codebase calls:
+:func:`inc`, :func:`observe` and :func:`set_gauge` write any declared
+family by name, and :func:`record_kernel_run` also attributes a kernel
+run's cycles to the open span.  Everything is **disabled by default**:
+``span()`` hands out a shared no-op context manager and every recorder
 returns after one boolean test, so instrumentation on the kernel-run
 hot path costs nanoseconds until :func:`enable` (or :func:`capture`)
 turns recording on.  Private :class:`Tracer` / :class:`MetricsRegistry`
@@ -31,6 +34,7 @@ from typing import Iterator
 
 from repro.telemetry.metrics import (
     Counter,
+    FamilySpec,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -39,43 +43,83 @@ from repro.telemetry.metrics import (
 from repro.telemetry.spans import SpanNode, Tracer, render_span_tree
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "FamilySpec", "Gauge", "Histogram", "MetricsRegistry",
     "SpanNode", "Tracer", "TelemetryError", "TraceContext",
-    "TRACER", "REGISTRY",
+    "CATALOGUE", "TRACER", "REGISTRY",
     "enabled", "enable", "disable", "reset", "capture", "span",
     "add_cycles", "render_span_tree",
     "new_trace_id", "current_trace", "request_trace", "activate",
-    "record_kernel_run", "record_kernel_check_failure",
-    "record_kernel_batch",
-    "record_pool_access", "record_machine_run",
-    "record_replay_fallback", "record_trace_compile",
-    "record_trace_reject",
-    "record_aot_compile", "record_aot_reject", "record_aot_demotion",
-    "record_aot_evicted",
-    "record_artifact_cache_hit", "record_artifact_cache_miss",
-    "record_artifact_cache_write", "record_artifact_invalidated",
-    "record_fault_injected", "record_fault_detected",
-    "record_fault_recovery", "record_checked_run",
-    "record_runner_evicted", "record_trace_invalidated",
-    "record_service_request", "record_service_rejected",
-    "record_service_latency", "record_service_inflight",
-    "record_service_demotion", "record_service_promotion",
-    "record_coalesced_batch",
-    "record_service_internal_error", "record_service_retry",
-    "record_service_reconnect", "record_deadline_exceeded",
-    "record_circuit_state",
-    "record_chaos_injection", "record_chaos_trial",
+    "inc", "observe", "set_gauge", "record_kernel_run",
     "current_span_path",
-    "record_shard_completed", "record_shard_steal",
-    "record_shard_requeue", "record_shard_worker_failure",
-    "record_shard_checkpoint",
 ]
+
+#: Bucket bounds (seconds) for the wall-time histograms.
+SECONDS_BUCKETS = (
+    0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+)
+
+_C, _G, _H = "counter", "gauge", "histogram"
+
+#: Every built-in metric family: name -> kind, label names (and
+#: histogram buckets).  ``docs/OBSERVABILITY.md`` documents each one;
+#: ``tests/test_telemetry.py`` checks that table against this one.
+CATALOGUE: dict[str, FamilySpec] = {
+    # kernel runners and the engine ladder (repro.kernels, repro.rv64)
+    "kernel_runs_total": FamilySpec(_C, ("kernel", "engine")),
+    "kernel_cycles_total": FamilySpec(_C, ("kernel",)),
+    "kernel_instructions_total": FamilySpec(_C, ("kernel",)),
+    "kernel_check_failures_total": FamilySpec(_C, ("kernel",)),
+    "kernel_batches_total": FamilySpec(_C, ("kernel", "engine")),
+    "kernel_batch_items_total": FamilySpec(_C, ("kernel", "engine")),
+    "engine_compiles_total": FamilySpec(_C, ("engine",)),
+    "engine_compile_seconds": FamilySpec(_H, ("engine",),
+                                         SECONDS_BUCKETS),
+    "engine_rejects_total": FamilySpec(_C, ("engine", "reason")),
+    "engine_demotions_total": FamilySpec(
+        _C, ("engine_from", "engine_to", "reason")),
+    "engine_evictions_total": FamilySpec(_C, ("engine",)),
+    "aot_artifacts_total": FamilySpec(_C, ("event",)),
+    "runner_pool_lookups_total": FamilySpec(_C, ("outcome",)),
+    "runner_pool_size": FamilySpec(_G),
+    # fault injection and the hardened execution layer (repro.fault)
+    "faults_injected_total": FamilySpec(_C, ("site", "kernel")),
+    "faults_detected_total": FamilySpec(_C, ("where", "engine")),
+    "fault_recoveries_total": FamilySpec(_C, ("operation", "outcome")),
+    "checked_runs_total": FamilySpec(_C, ("kernel",)),
+    "runner_evictions_total": FamilySpec(_C, ("kernel",)),
+    # the multi-tenant key-exchange service (repro.service)
+    "service_requests_total": FamilySpec(_C, ("tenant", "op", "outcome")),
+    "service_rejections_total": FamilySpec(_C, ("tenant", "reason")),
+    "service_request_seconds": FamilySpec(_H, ("op",), SECONDS_BUCKETS),
+    "service_inflight": FamilySpec(_G, ("tenant",)),
+    "service_demotions_total": FamilySpec(
+        _C, ("tenant", "engine_from", "engine_to", "reason")),
+    "service_promotions_total": FamilySpec(_C, ("tenant", "engine_to")),
+    "service_coalesced_batches_total": FamilySpec(_C, ("op",)),
+    "service_coalesced_items_total": FamilySpec(_C, ("op",)),
+    "service_deadline_exceeded_total": FamilySpec(_C, ("op", "where")),
+    "service_retries_total": FamilySpec(_C, ("op", "reason")),
+    "service_reconnects_total": FamilySpec(_C),
+    "service_internal_errors_total": FamilySpec(_C, ("op",)),
+    "circuit_state": FamilySpec(_G, ("tenant",)),
+    # network chaos (repro.chaos)
+    "chaos_injections_total": FamilySpec(_C, ("kind",)),
+    "chaos_trials_total": FamilySpec(_C, ("kind", "outcome")),
+    # sharded multi-process execution (repro.shard)
+    "shard_completed_total": FamilySpec(_C, ("worker",)),
+    "shard_cycles_total": FamilySpec(_C, ("worker",)),
+    "shard_instructions_total": FamilySpec(_C, ("worker",)),
+    "shard_steals_total": FamilySpec(_C, ("worker",)),
+    "shard_requeues_total": FamilySpec(_C, ("shard",)),
+    "shard_worker_failures_total": FamilySpec(_C, ("worker",)),
+    "shard_checkpoint_records_total": FamilySpec(_C),
+}
 
 #: Process-global span recorder (disabled until :func:`enable`).
 TRACER = Tracer()
 
 #: Process-global metrics registry fed by the built-in instrumentation.
-REGISTRY = MetricsRegistry()
+REGISTRY = MetricsRegistry(CATALOGUE)
 
 
 def enabled() -> bool:
@@ -141,7 +185,7 @@ def capture(*, fresh: bool = True) -> Iterator[Capture]:
     """
     global TRACER, REGISTRY
     if fresh:
-        tracer, registry = Tracer(), MetricsRegistry()
+        tracer, registry = Tracer(), MetricsRegistry(CATALOGUE)
     else:
         tracer, registry = TRACER, REGISTRY
     prior_tracer, prior_registry = TRACER, REGISTRY
@@ -156,462 +200,44 @@ def capture(*, fresh: bool = True) -> Iterator[Capture]:
 
 
 # ---------------------------------------------------------------------------
-# Instrumentation helpers (called from the hot paths; each starts with
-# the disabled-fast-path test and must stay call-overhead cheap)
+# Recorders (called from the hot paths; each starts with the
+# disabled-fast-path test and must stay call-overhead cheap)
 # ---------------------------------------------------------------------------
+
+
+def inc(name: str, amount: float = 1, **labels: object) -> None:
+    """Add *amount* to the counter or gauge *name*."""
+    if not TRACER.enabled:
+        return
+    REGISTRY.family(name).inc(amount, **labels)
+
+
+def observe(name: str, value: float, **labels: object) -> None:
+    """Record *value* in the histogram *name*."""
+    if not TRACER.enabled:
+        return
+    REGISTRY.histogram(name).observe(value, **labels)
+
+
+def set_gauge(name: str, value: float, **labels: object) -> None:
+    """Set the gauge *name* to *value*."""
+    if not TRACER.enabled:
+        return
+    REGISTRY.gauge(name).set(value, **labels)
 
 
 def record_kernel_run(
     kernel: str, engine: str, cycles: int, instructions: int
 ) -> None:
-    """One :class:`~repro.kernels.runner.KernelRunner` execution."""
+    """One :class:`~repro.kernels.runner.KernelRunner` execution: its
+    counts, and its cycles attributed to the open span."""
     if not TRACER.enabled:
         return
     TRACER.add_kernel_cycles(kernel, engine, cycles)
-    REGISTRY.counter(
-        "kernel_runs_total", "kernel executions by engine"
-    ).inc(kernel=kernel, engine=engine)
-    REGISTRY.counter(
-        "kernel_cycles_total", "simulated cycles per kernel"
-    ).inc(cycles, kernel=kernel)
-    REGISTRY.counter(
-        "kernel_instructions_total", "retired instructions per kernel"
-    ).inc(instructions, kernel=kernel)
-
-
-def record_kernel_check_failure(kernel: str) -> None:
-    """A golden-reference verification failure in a kernel run."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "kernel_check_failures_total",
-        "golden-reference mismatches",
-    ).inc(kernel=kernel)
-
-
-def record_pool_access(hit: bool, size: int) -> None:
-    """One :func:`~repro.kernels.registry.cached_runner` lookup."""
-    if not TRACER.enabled:
-        return
-    name = ("runner_pool_hits_total" if hit
-            else "runner_pool_misses_total")
-    REGISTRY.counter(name, "runner pool lookups").inc()
-    REGISTRY.gauge("runner_pool_size", "pooled runners").set(size)
-
-
-def record_machine_run(engine: str) -> None:
-    """One :meth:`Machine.run`, labeled by the engine that ran."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "machine_runs_total", "Machine.run calls by engine"
-    ).inc(engine=engine)
-
-
-def record_replay_fallback(reason: str) -> None:
-    """A requested replay that fell back to the interpreter."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "replay_fallback_total",
-        "replay requests served by the interpreter",
-    ).inc(reason=reason)
-
-
-def record_trace_compile() -> None:
-    """A successful replay-trace compilation."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "trace_compiles_total", "replay traces compiled"
-    ).inc()
-
-
-def record_trace_reject(reason: str) -> None:
-    """A replay-trace compilation refusal, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "trace_rejects_total", "replay compilation refusals"
-    ).inc(reason=reason)
-
-
-def record_kernel_batch(kernel: str, engine: str, n: int) -> None:
-    """One :meth:`KernelRunner.run_batch` call of *n* operand sets.
-
-    Per-run cycles/instructions still flow through
-    :func:`record_kernel_run` (once per item), keeping the span
-    cycle-attribution invariant and the ``kernel_runs_total`` counts
-    identical whether a workload batches or loops.
-    """
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "kernel_batches_total", "batched kernel executions"
-    ).inc(kernel=kernel, engine=engine)
-    REGISTRY.counter(
-        "kernel_batch_items_total", "operand sets executed in batches"
-    ).inc(n, kernel=kernel, engine=engine)
-
-
-# -- the aot tier and its persistent artifact cache -------------------------
-# (see repro.rv64.aot / repro.rv64.artifacts and docs/SIMULATOR.md)
-
-
-def record_aot_compile(seconds: float) -> None:
-    """A successful whole-kernel aot fusion, with its wall-clock cost."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter("aot_compiles_total", "aot functions compiled").inc()
-    REGISTRY.histogram(
-        "aot_compile_seconds", "whole-kernel aot fusion wall time"
-    ).observe(seconds)
-
-
-def record_aot_reject(reason: str) -> None:
-    """An aot fusion refusal, by :class:`AotError` reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_rejects_total", "aot compilation refusals"
-    ).inc(reason=reason)
-
-
-def record_aot_demotion(reason: str) -> None:
-    """A requested aot run demoted down the engine ladder, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_demotions_total",
-        "aot requests demoted to replay/interpreter",
-    ).inc(reason=reason)
-
-
-def record_aot_evicted() -> None:
-    """A compiled aot function dropped by Machine.invalidate_trace."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_evictions_total", "compiled aot functions evicted"
-    ).inc()
-
-
-def record_artifact_cache_hit() -> None:
-    """An on-disk aot artifact loaded and validated (warm start)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_hits_total", "on-disk aot artifact cache hits"
-    ).inc()
-
-
-def record_artifact_cache_miss() -> None:
-    """An on-disk aot artifact lookup that found nothing usable."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_misses_total", "on-disk aot artifact cache misses"
-    ).inc()
-
-
-def record_artifact_cache_write() -> None:
-    """A compiled aot thunk persisted to the on-disk artifact cache."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_writes_total", "on-disk aot artifacts written"
-    ).inc()
-
-
-def record_artifact_invalidated() -> None:
-    """An on-disk artifact deleted (corruption, skew, or fault recovery)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "aot_artifact_invalidations_total",
-        "on-disk aot artifacts invalidated",
-    ).inc()
-
-
-# -- fault injection and the hardened execution layer -----------------------
-# (see repro.fault and docs/ROBUSTNESS.md)
-
-
-def record_fault_injected(site: str, kernel: str) -> None:
-    """One armed fault, labeled by site kind and target kernel."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "faults_injected_total", "armed faults by site and kernel"
-    ).inc(site=site, kernel=kernel)
-
-
-def record_fault_detected(where: str, engine: str) -> None:
-    """A checked execution caught a divergence from the reference."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "faults_detected_total",
-        "checked-mode divergences by detection point",
-    ).inc(where=where, engine=engine)
-
-
-def record_fault_recovery(operation: str, outcome: str) -> None:
-    """End of a recovery attempt sequence (``recovered``/``exhausted``)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "fault_recoveries_total",
-        "recovery outcomes after a detected fault",
-    ).inc(operation=operation, outcome=outcome)
-
-
-def record_checked_run(kernel: str) -> None:
-    """One sampled cross-validation against the pure-Python reference."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "checked_runs_total", "sampled reference cross-validations"
-    ).inc(kernel=kernel)
-
-
-def record_runner_evicted(kernel: str) -> None:
-    """A poisoned runner evicted from the registry pool."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "runner_evictions_total", "runner pool evictions"
-    ).inc(kernel=kernel)
-
-
-def record_trace_invalidated() -> None:
-    """A cached replay trace dropped by Machine.invalidate_trace."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "trace_invalidations_total", "replay traces invalidated"
-    ).inc()
-
-
-# -- the multi-tenant key-exchange service -----------------------------------
-# (see repro.service and docs/SERVICE.md)
-
-#: Latency buckets for service requests (seconds; the cycle-flavoured
-#: default buckets would put every request in the first bucket).
-SERVICE_LATENCY_BUCKETS = (
-    0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
-
-
-def record_service_request(tenant: str, op: str, outcome: str) -> None:
-    """One completed service request, by tenant, op and outcome."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_requests_total",
-        "service requests by tenant, op and outcome",
-    ).inc(tenant=tenant, op=op, outcome=outcome)
-
-
-def record_service_rejected(tenant: str, reason: str) -> None:
-    """A request bounced by admission control, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_rejections_total",
-        "admission-control rejections by tenant and reason",
-    ).inc(tenant=tenant, reason=reason)
-
-
-def record_service_latency(op: str, seconds: float) -> None:
-    """Wall-clock latency of one service request."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.histogram(
-        "service_request_seconds", "service request latency",
-        buckets=SERVICE_LATENCY_BUCKETS,
-    ).observe(seconds, op=op)
-
-
-def record_service_inflight(tenant: str, delta: int) -> None:
-    """Admitted-but-unfinished request count change for *tenant*."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.gauge(
-        "service_inflight", "admitted in-flight requests"
-    ).inc(delta, tenant=tenant)
-
-
-def record_service_demotion(
-    tenant: str, engine_from: str, engine_to: str, reason: str
-) -> None:
-    """A tenant demoted one rung down the engine ladder."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_demotions_total",
-        "tenant engine demotions by reason",
-    ).inc(tenant=tenant, engine_from=engine_from, engine_to=engine_to,
-          reason=reason)
-
-
-def record_service_promotion(tenant: str, engine_to: str) -> None:
-    """A tenant promoted one rung back up the engine ladder."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_promotions_total",
-        "tenant engine promotions after sustained health",
-    ).inc(tenant=tenant, engine_to=engine_to)
-
-
-def record_coalesced_batch(op: str, n: int) -> None:
-    """One coalesced flush of *n* requests into a batched execution."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_coalesced_batches_total",
-        "coalescer flushes into run_batch",
-    ).inc(op=op)
-    REGISTRY.counter(
-        "service_coalesced_items_total",
-        "requests served through coalesced batches",
-    ).inc(n, op=op)
-
-
-# -- service resilience: deadlines, retries, circuit breaking ----------------
-# (see docs/ROBUSTNESS.md, "Network chaos & resilience")
-
-#: Gauge encoding for circuit-breaker states.
-CIRCUIT_STATES = {"closed": 0, "open": 1, "half_open": 2}
-
-
-def record_service_internal_error(op: str) -> None:
-    """A non-``ReproError`` exception caught at the wire boundary."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_internal_errors_total",
-        "unexpected exceptions answered with the service code",
-    ).inc(op=op)
-
-
-def record_service_retry(op: str, reason: str) -> None:
-    """One client-side retry of an idempotent request, by reason."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_retries_total",
-        "client request retries by op and reason",
-    ).inc(op=op, reason=reason)
-
-
-def record_service_reconnect() -> None:
-    """The client re-established a dropped connection."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_reconnects_total", "client reconnections"
-    ).inc()
-
-
-def record_deadline_exceeded(op: str, where: str) -> None:
-    """A request deadline expired (``queued`` or ``running``)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "service_deadline_exceeded_total",
-        "requests that ran out of deadline budget",
-    ).inc(op=op, where=where)
-
-
-def record_circuit_state(tenant: str, state: str) -> None:
-    """A circuit-breaker transition (closed=0 / open=1 / half_open=2)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.gauge(
-        "circuit_state", "per-tenant circuit-breaker state"
-    ).set(CIRCUIT_STATES[state], tenant=tenant)
-
-
-# -- the network-chaos subsystem (see repro.chaos) ---------------------------
-
-
-def record_chaos_injection(kind: str) -> None:
-    """One chaos site fired inside the proxy, by site kind."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "chaos_injections_total", "network faults injected by kind"
-    ).inc(kind=kind)
-
-
-def record_chaos_trial(kind: str, outcome: str) -> None:
-    """One chaos-campaign trial classified, by site kind and outcome."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "chaos_trials_total", "chaos trials by site kind and outcome"
-    ).inc(kind=kind, outcome=outcome)
-
-
-# -- the sharded multi-process execution subsystem ---------------------------
-# (see repro.shard and docs/SHARDING.md)
-
-
-def record_shard_completed(
-    worker: int, cycles: int, instructions: int
-) -> None:
-    """One shard finished and its record reached the scheduler."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_completed_total", "shards completed by worker"
-    ).inc(worker=worker)
-    REGISTRY.counter(
-        "shard_cycles_total", "merged simulated cycles by worker"
-    ).inc(cycles, worker=worker)
-    REGISTRY.counter(
-        "shard_instructions_total",
-        "merged retired instructions by worker",
-    ).inc(instructions, worker=worker)
-
-
-def record_shard_steal(worker: int) -> None:
-    """A worker drained its own backlog and stole from a peer's."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_steals_total", "work-stealing grabs by thief worker"
-    ).inc(worker=worker)
-
-
-def record_shard_requeue(shard: int) -> None:
-    """A dead worker's in-flight shard went back onto the backlog."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_requeues_total", "shards re-queued after worker loss"
-    ).inc(shard=shard)
-
-
-def record_shard_worker_failure(worker: int) -> None:
-    """A worker process died (crash, kill, or fatal worker error)."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_worker_failures_total", "worker process losses"
-    ).inc(worker=worker)
-
-
-def record_shard_checkpoint() -> None:
-    """One shard record appended to the JSONL checkpoint file."""
-    if not TRACER.enabled:
-        return
-    REGISTRY.counter(
-        "shard_checkpoint_records_total",
-        "shard records written to checkpoints",
-    ).inc()
+    family = REGISTRY.family
+    family("kernel_runs_total").inc(kernel=kernel, engine=engine)
+    family("kernel_cycles_total").inc(cycles, kernel=kernel)
+    family("kernel_instructions_total").inc(instructions, kernel=kernel)
 
 
 # -- per-request trace contexts (see repro.telemetry.tracing) ----------------

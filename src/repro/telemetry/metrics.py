@@ -6,15 +6,22 @@ combination (the Prometheus data model, scaled down to what a
 single-process simulator needs):
 
 * :class:`Counter` — monotonically increasing totals (kernel runs,
-  replay fallbacks, pool hits);
+  engine demotions, runner-pool lookups);
 * :class:`Gauge` — last-written values (pool size, configured limits);
 * :class:`Histogram` — bucketed distributions with count/sum/min/max
-  (per-run cycle counts, span durations).
+  (request latencies, compile times).
 
-The module keeps a process-global :data:`DEFAULT_REGISTRY` that all
-built-in instrumentation writes to; registries are plain objects, so
-tests and embedders can construct private instances and pass them
-wherever a registry is accepted.
+A registry only holds the families its *catalogue* declares: a mapping
+from family name to :class:`FamilySpec` (kind, label names and, for
+histograms, bucket bounds).  Writing an undeclared name, or a label set
+other than the declared one, raises :class:`TelemetryError`; both
+checks run when a family or a series is created, never on a
+steady-state increment.  Reads (:meth:`MetricsRegistry.total`,
+:meth:`~MetricsRegistry.breakdown`, :meth:`~MetricsRegistry.get`) never
+create anything.  The built-in instrumentation declares its families in
+:data:`repro.telemetry.CATALOGUE` and writes to
+:data:`repro.telemetry.REGISTRY`; tests and embedders construct
+private registries over their own catalogues.
 
 Everything here is bookkeeping on plain dicts — no background threads,
 no I/O.  Exporters live in :mod:`repro.telemetry.export`.
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.errors import ReproError
 
@@ -96,13 +103,6 @@ class GaugeChild:
         self.value -= amount
 
 
-#: Default histogram bucket upper bounds (cycle-count flavoured:
-#: generated kernels run tens to thousands of cycles each).
-DEFAULT_BUCKETS = (
-    10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 100_000,
-)
-
-
 class HistogramChild:
     """A single bucketed distribution."""
 
@@ -135,25 +135,48 @@ class HistogramChild:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """The declaration of one metric family in a registry's catalogue.
+
+    ``labels`` names every label a series of the family carries, in
+    documentation order; ``buckets`` are the histogram upper bounds
+    (unused by counters and gauges).
+    """
+
+    kind: str
+    labels: tuple[str, ...] = ()
+    buckets: tuple[float, ...] = ()
+
+
 class _Family:
     """Shared get-or-create child bookkeeping for one metric name."""
 
     kind = "untyped"
     child_cls: type = CounterChild
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, spec: FamilySpec) -> None:
         self.name = name
-        self.help = help
+        self.label_names = tuple(sorted(spec.labels))
         self._children: dict[LabelKey, object] = {}
 
     def _make_child(self):
         return self.child_cls()
 
     def labels(self, **labels: object):
-        """Child for one label combination (created on first use)."""
+        """Child for one label combination (created on first use).
+
+        Creation checks the label names against the declaration, so a
+        misspelt label raises instead of starting a second series.
+        """
         key = _label_key(labels)
         child = self._children.get(key)
         if child is None:
+            if tuple(name for name, _ in key) != self.label_names:
+                raise TelemetryError(
+                    f"metric {self.name!r} takes labels "
+                    f"{list(self.label_names)}, got {sorted(labels)}"
+                )
             with MUTATION_LOCK:
                 child = self._children.get(key)
                 if child is None:
@@ -178,16 +201,6 @@ class Counter(_Family):
         with MUTATION_LOCK:
             child.inc(amount)
 
-    def value(self, **labels: object) -> int:
-        key = _label_key(labels)
-        child = self._children.get(key)
-        return child.value if child is not None else 0
-
-    def total(self) -> int:
-        """Sum over every label combination."""
-        with MUTATION_LOCK:
-            return sum(child.value for child in self._children.values())
-
 
 class Gauge(_Family):
     kind = "gauge"
@@ -208,24 +221,14 @@ class Gauge(_Family):
         with MUTATION_LOCK:
             child.dec(amount)
 
-    def value(self, **labels: object) -> float:
-        key = _label_key(labels)
-        child = self._children.get(key)
-        return child.value if child is not None else 0.0
-
 
 class Histogram(_Family):
     kind = "histogram"
     child_cls = HistogramChild
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help)
-        self.bounds = tuple(sorted(buckets))
+    def __init__(self, name: str, spec: FamilySpec) -> None:
+        super().__init__(name, spec)
+        self.bounds = tuple(sorted(spec.buckets))
 
     def _make_child(self) -> HistogramChild:
         return HistogramChild(self.bounds)
@@ -234,6 +237,9 @@ class Histogram(_Family):
         child = self.labels(**labels)
         with MUTATION_LOCK:
             child.observe(value)
+
+
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
 
 # ---------------------------------------------------------------------------
@@ -252,46 +258,56 @@ class MetricSample:
 
 
 class MetricsRegistry:
-    """A named collection of metric families.
+    """The families declared by *catalogue*, created on first write.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the first
-    call for a name fixes its type, and later calls with a clashing
-    type raise :class:`TelemetryError` (catching the classic silent
-    double-registration bug).
+    :meth:`family` (and its kind-checked forms ``counter``/``gauge``/
+    ``histogram``) is get-or-create for writers; an undeclared name, or
+    a kind other than the declared one, raises :class:`TelemetryError`.
+    Readers use :meth:`get`, :meth:`total` and :meth:`breakdown`, which
+    never create a family.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, catalogue: Mapping[str, FamilySpec] | None = None
+    ) -> None:
+        self.catalogue = dict(catalogue or {})
         self._families: dict[str, _Family] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs):
+    def _spec(self, name: str) -> FamilySpec:
+        spec = self.catalogue.get(name)
+        if spec is None:
+            raise TelemetryError(f"metric {name!r} is not declared")
+        return spec
+
+    def family(self, name: str) -> _Family:
+        """The family *name*, created on first use."""
         family = self._families.get(name)
         if family is None:
+            spec = self._spec(name)
             with MUTATION_LOCK:
                 family = self._families.get(name)
                 if family is None:
-                    family = self._families[name] = cls(
-                        name, help, **kwargs)
+                    family = self._families[name] = \
+                        _KINDS[spec.kind](name, spec)
+        return family
+
+    def _typed(self, name: str, cls):
+        family = self.family(name)
         if type(family) is not cls:
             raise TelemetryError(
-                f"metric {name!r} already registered as "
-                f"{family.kind}, not {cls.kind}"
+                f"metric {name!r} is declared as a {family.kind}, "
+                f"not a {cls.kind}"
             )
         return family
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
+    def counter(self, name: str) -> Counter:
+        return self._typed(name, Counter)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
+    def gauge(self, name: str) -> Gauge:
+        return self._typed(name, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help,
-                                   buckets=buckets)
+    def histogram(self, name: str) -> Histogram:
+        return self._typed(name, Histogram)
 
     def families(self) -> Iterator[_Family]:
         yield from self._families.values()
@@ -299,6 +315,39 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every family (fresh registry state)."""
         self._families.clear()
+
+    # -- reads (never create a family) ---------------------------------------
+
+    def get(self, name: str) -> _Family | None:
+        """The family *name* if anything has been written to it."""
+        self._spec(name)
+        return self._families.get(name)
+
+    def _matching(self, name: str, match: dict) -> list:
+        """``(label key, value)`` of each counter/gauge series of *name*
+        whose labels include *match*."""
+        family = self.get(name)
+        if family is None:
+            return []
+        want = set(_label_key(match))
+        with MUTATION_LOCK:
+            return [(key, child.value) for key, child in family.children()
+                    if want <= set(key)]
+
+    def breakdown(self, name: str, label: str,
+                  **match: object) -> dict[str, float]:
+        """Values summed per value of *label*, over the series whose
+        labels include *match*."""
+        out: dict[str, float] = {}
+        for key, value in self._matching(name, match):
+            group = dict(key)[label]
+            out[group] = out.get(group, 0) + value
+        return out
+
+    def total(self, name: str, **match: object) -> float:
+        """Sum over the series whose labels include *match* (0 when
+        nothing has been written)."""
+        return sum(value for _, value in self._matching(name, match))
 
     # -- export views --------------------------------------------------------
 
@@ -346,6 +395,3 @@ class MetricsRegistry:
             })
         return out
 
-
-#: Process-global registry used by the built-in instrumentation.
-DEFAULT_REGISTRY = MetricsRegistry()

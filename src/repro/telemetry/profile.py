@@ -62,21 +62,13 @@ class ProfileResult:
 
     def hot_kernels(self, top: int = 8) -> list[tuple[str, int, int]]:
         """``(kernel, cycles, runs)`` ranked by attributed cycles."""
-        cycles = self.registry.counter("kernel_cycles_total")
-        runs = self.registry.counter("kernel_runs_total")
-        per_kernel_runs: dict[str, int] = {}
-        for key, child in runs.children():
-            labels = dict(key)
-            name = labels.get("kernel", "?")
-            per_kernel_runs[name] = (
-                per_kernel_runs.get(name, 0) + child.value
-            )
+        registry = self.registry
+        runs = registry.breakdown("kernel_runs_total", "kernel")
         ranked = sorted(
-            ((dict(key).get("kernel", "?"), child.value)
-             for key, child in cycles.children()),
+            registry.breakdown("kernel_cycles_total", "kernel").items(),
             key=lambda item: -item[1],
         )
-        return [(name, cy, per_kernel_runs.get(name, 0))
+        return [(name, cy, runs.get(name, 0))
                 for name, cy in ranked[:top]]
 
     def workload_dict(self) -> dict:
@@ -112,8 +104,7 @@ class ProfileResult:
             "simulated_cycles": self.simulated_cycles,
             "simulated_instructions": self.simulated_instructions,
             "isogenies": self.stats.isogenies,
-            "kernel_runs": self.registry.counter(
-                "kernel_runs_total").total(),
+            "kernel_runs": self.registry.total("kernel_runs_total"),
             "cycles_by_phase": {
                 child.label: child.total_cycles
                 for child in self.action_node.children.values()
@@ -197,23 +188,23 @@ def render_profile(result: ProfileResult, *, top: int = 8) -> str:
             f"  {name:24s}{cycles:>14,d} cy "
             f"{100.0 * cycles / total:6.1f}%  x{runs}"
         )
-    engines = result.registry.counter("machine_runs_total")
+    registry = result.registry
     mix = ", ".join(
-        f"{dict(key).get('engine', '?')}={child.value}"
-        for key, child in sorted(engines.children())
+        f"{engine}={runs}" for engine, runs in sorted(
+            registry.breakdown("kernel_runs_total", "engine").items())
     )
     if mix:
         lines.append(f"engine mix: {mix}")
-    fallbacks = result.registry.counter("replay_fallback_total")
-    if fallbacks.total():
+    demotions = registry.get("engine_demotions_total")
+    if demotions is not None:
         reasons = ", ".join(
-            f"{dict(key).get('reason', '?')}={child.value}"
-            for key, child in sorted(fallbacks.children())
+            "{engine_from}->{engine_to} {reason}".format(**dict(key))
+            + f"={child.value}"
+            for key, child in sorted(demotions.children())
         )
-        lines.append(f"replay fallbacks: {reasons}")
-    hits = result.registry.counter("runner_pool_hits_total").total()
-    misses = result.registry.counter(
-        "runner_pool_misses_total").total()
+        lines.append(f"engine demotions: {reasons}")
+    lookups = registry.breakdown("runner_pool_lookups_total", "outcome")
+    hits, misses = lookups.get("hit", 0), lookups.get("miss", 0)
     if hits or misses:
         lines.append(f"runner pool: {hits} hits, {misses} misses")
     return "\n".join(lines)

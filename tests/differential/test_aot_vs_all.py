@@ -173,10 +173,10 @@ def test_hardened_aot_runner_fuses_each_kernel_once(monkeypatch,
             for _ in range(3):
                 runner.run(*kernel.sampler(rng))
         registry = cap.registry
-        assert registry.counter("aot_compiles_total").total() == want
-        assert registry.counter("checked_runs_total").total() == 3
-        assert registry.counter("machine_runs_total").value(
-            engine="aot") == 3
+        assert registry.total("engine_compiles_total",
+                              engine="aot") == want
+        assert registry.total("checked_runs_total") == 3
+        assert registry.total("kernel_runs_total", engine="aot") == 3
 
 
 def test_batch_matches_looped_singles():
@@ -208,15 +208,15 @@ def test_warm_cache_binds_without_recompiling(monkeypatch, tmp_path):
 
     with telemetry.capture() as cold:
         cold_runner = _fresh_runner(kernels, name)
-    assert cold.registry.counter("aot_artifact_writes_total").total() \
-        > 0
+    assert cold.registry.total("aot_artifacts_total", event="write") > 0
     assert list(cache_dir().glob("*.json")), \
         "cold construction must persist an artifact"
 
     with telemetry.capture() as warm:
         warm_runner = _fresh_runner(kernels, name)
-    assert warm.registry.counter("aot_artifact_hits_total").total() > 0
-    assert warm.registry.counter("aot_compiles_total").total() == 0, \
+    assert warm.registry.total("aot_artifacts_total", event="hit") > 0
+    assert warm.registry.total("engine_compiles_total",
+                               engine="aot") == 0, \
         "warm start must not re-run the fuser"
     assert warm_runner._aot_thunk is not None
 
@@ -245,8 +245,8 @@ def test_corrupt_artifact_is_deleted_and_recompiled(monkeypatch,
     with telemetry.capture() as cap:
         runner = _fresh_runner(kernels, name)
     reg = cap.registry
-    assert reg.counter("aot_artifact_invalidations_total").total() > 0
-    assert reg.counter("aot_compiles_total").total() > 0, \
+    assert reg.total("aot_artifacts_total", event="invalidation") > 0
+    assert reg.total("engine_compiles_total", engine="aot") > 0, \
         "corruption must fall back to a cold compile"
     assert runner._aot_thunk is not None
 

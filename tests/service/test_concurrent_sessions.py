@@ -112,12 +112,10 @@ class TestCounterExactness:
             drive(KeyExchangeService(toy, configs)))
         assert results == [(a * b) % toy.p for a, b in ops]
 
-        runs = cap.registry.counter("kernel_runs_total")
-        assert runs.total() == 2 * len(ops)
-        concurrent_cycles = cap.registry.counter(
-            "kernel_cycles_total").total()
-        concurrent_instructions = cap.registry.counter(
-            "kernel_instructions_total").total()
+        assert cap.registry.total("kernel_runs_total") == 2 * len(ops)
+        concurrent_cycles = cap.registry.total("kernel_cycles_total")
+        concurrent_instructions = cap.registry.total(
+            "kernel_instructions_total")
 
         # sequential rerun of the same multiset on a fresh service
         async def sequential(service: KeyExchangeService):
@@ -136,12 +134,10 @@ class TestCounterExactness:
             TenantConfig("t1", engine="replay", lanes=2, max_queue=64),
         ]
         seq_cap = asyncio.run(sequential(KeyExchangeService(toy, configs)))
-        assert seq_cap.registry.counter(
-            "kernel_runs_total").total() == 2 * len(ops)
-        assert seq_cap.registry.counter(
-            "kernel_cycles_total").total() == concurrent_cycles
-        assert seq_cap.registry.counter(
-            "kernel_instructions_total").total() \
+        assert seq_cap.registry.total("kernel_runs_total") == 2 * len(ops)
+        assert seq_cap.registry.total("kernel_cycles_total") \
+            == concurrent_cycles
+        assert seq_cap.registry.total("kernel_instructions_total") \
             == concurrent_instructions
 
     def test_no_lost_updates_hammering_record_kernel_run(self):
@@ -163,16 +159,13 @@ class TestCounterExactness:
                 worker.start()
             for worker in workers:
                 worker.join()
-        runs = cap.registry.counter("kernel_runs_total")
-        assert runs.value(kernel="hammer_kernel",
-                          engine="replay") == threads * each
-        cycles = cap.registry.counter("kernel_cycles_total")
-        assert cycles.value(kernel="hammer_kernel") \
-            == 7 * threads * each
-        instructions = cap.registry.counter(
-            "kernel_instructions_total")
-        assert instructions.value(kernel="hammer_kernel") \
-            == 3 * threads * each
+        registry = cap.registry
+        assert registry.total("kernel_runs_total", kernel="hammer_kernel",
+                              engine="replay") == threads * each
+        assert registry.total("kernel_cycles_total",
+                              kernel="hammer_kernel") == 7 * threads * each
+        assert registry.total("kernel_instructions_total",
+                              kernel="hammer_kernel") == 3 * threads * each
 
 
 class TestTenantIsolation:

@@ -414,8 +414,8 @@ class TestInternalErrorContainment:
                         "id": 1, "op": "keygen",
                         "tenant": {"bad": 1}, "seed": 1})
                     await read_frame(reader)
-                    assert cap.registry.counter(
-                        "service_internal_errors_total").total() == 1
+                    assert cap.registry.total(
+                        "service_internal_errors_total") == 1
                     writer.close()
             finally:
                 server.close()

@@ -176,9 +176,9 @@ class TestPoolTelemetryExactness:
                            for _ in range(THREADS)]
                 for future in futures:
                     future.result()
-        hits = cap.registry.counter("runner_pool_hits_total").total()
-        misses = cap.registry.counter(
-            "runner_pool_misses_total").total()
+        hits = cap.registry.total("runner_pool_lookups_total", outcome="hit")
+        misses = cap.registry.total(
+            "runner_pool_lookups_total", outcome="miss")
         assert misses == 1
         assert hits + misses == lookups
         clear_runner_pool(scope)

@@ -79,8 +79,8 @@ class TestRunnerCheckedMode:
         with telemetry.capture(fresh=True) as cap:
             for _ in range(8):
                 runner.run(3, 5, engine="replay")
-        checked = cap.registry.counter("checked_runs_total")
-        assert checked.total() == 2  # 8 runs / interval 4
+        # 8 runs / interval 4
+        assert cap.registry.total("checked_runs_total") == 2
 
     def test_disable_checked_drops_state(self):
         runner = _runner(checked=True)
@@ -153,10 +153,9 @@ class TestContextRecovery:
             context._sub.set_fault_hook(
                 lambda limbs: (limbs[0] ^ 1,) + limbs[1:])
             assert context.sub(9, 4) == 5
-        recoveries = cap.registry.counter("fault_recoveries_total")
-        assert recoveries.value(operation="sub",
-                                outcome="recovered") == 1
-        assert cap.registry.counter("runner_evictions_total").total() >= 1
+        assert cap.registry.total("fault_recoveries_total", operation="sub",
+                                  outcome="recovered") == 1
+        assert cap.registry.total("runner_evictions_total") >= 1
 
     def test_unrecoverable_divergence_exhausts(self, monkeypatch):
         context = SimulatedFieldContext(P, checked=True,

@@ -181,8 +181,8 @@ class TestAotFaultSymmetry:
             # the demoted run executes the poisoned trace
             with telemetry.capture(fresh=True) as cap:
                 runner.run(3, 5, check=False)
-            runs = cap.registry.counter("machine_runs_total")
-            assert runs.value(engine="replay") == 1
+            assert cap.registry.total(
+                "kernel_runs_total", engine="replay") == 1
         finally:
             armed.disarm()
         assert machine._aot_entry_cache[runner.entry] is pristine
@@ -214,13 +214,13 @@ class TestAotFaultSymmetry:
         assert context.fault_detections >= 1
         assert context.fault_recoveries == context.fault_detections
         # detected on the replay rung the dropped aot tier demoted to
-        detected = cap.registry.counter("faults_detected_total")
-        assert detected.value(where="fp_mul.reduced.ise",
-                              engine="replay") >= 1
+        assert cap.registry.total(
+            "faults_detected_total", where="fp_mul.reduced.ise",
+            engine="replay") >= 1
         # recovery invalidated the trace and rebuilt the runner, which
         # is back on a live aot thunk
-        invalidations = cap.registry.counter("trace_invalidations_total")
-        assert invalidations.value() >= 1
+        assert cap.registry.total(
+            "engine_evictions_total", engine="replay") >= 1
         assert context._mul is not poisoned
         assert context._mul._aot_thunk is not None
 

@@ -2,10 +2,10 @@
 
 One test per :class:`~repro.rv64.replay.ReplayError` ``reason`` value:
 each builds a program the trace compiler must refuse, asserts the
-refusal (``trace_rejects_total{reason=...}``), asserts that a
-``run(engine="replay")`` on such a program increments the fallback
-counter
-(``replay_fallback_total{reason="not_replayable"}``), and — where the
+refusal (``engine_rejects_total{engine="replay", reason=...}``),
+asserts that a ``run(engine="replay")`` on such a program increments
+the demotion counter (``engine_demotions_total{engine_from="replay",
+reason="not_replayable"}``), and — where the
 program is runnable at all — that the fallback execution is
 bit-for-bit identical to a plain interpreter run (registers, memory,
 retired-instruction count, cycles).  Programs that are broken for the
@@ -21,8 +21,9 @@ The second half applies the same discipline one tier up: every
 generator), and every demotion reason on the aot → replay →
 interpreter ladder (:data:`repro.rv64.aot.DEMOTION_REASONS`) gets a
 :class:`~repro.kernels.runner.KernelRunner` test asserting the refusal
-counter (``aot_rejects_total{reason=...}``), the demotion counter
-(``aot_demotions_total{reason=...}``), the engine that actually served
+counter (``engine_rejects_total{engine="aot", reason=...}``), the
+demotion counter (``engine_demotions_total{engine_from="aot",
+reason=...}``), the engine that actually served
 the run, and exactness against the interpreter.  The aot tier lives in
 the runner alone, so ``Machine.run(engine="aot")`` refuses.
 """
@@ -93,10 +94,11 @@ def _fallback_matches_interpreter(source: str, reason: str,
     assert replay_result.histogram == plain_result.histogram
     assert replay_machine.regs.snapshot() == plain_machine.regs.snapshot()
 
-    rejects = cap.registry.counter("trace_rejects_total")
-    assert rejects.value(reason=reason) == 1
-    fallbacks = cap.registry.counter("replay_fallback_total")
-    assert fallbacks.value(reason="not_replayable") == 1
+    assert cap.registry.total(
+        "engine_rejects_total", engine="replay", reason=reason) == 1
+    assert cap.registry.total(
+        "engine_demotions_total", engine_from="replay",
+        reason="not_replayable") == 1
 
 
 class TestControlFlow:
@@ -168,10 +170,11 @@ class TestUnmapped:
         with pytest.raises(SimulationError) as via_interp:
             other.run(entry2, engine="interpreter")
         assert str(via_replay.value) == str(via_interp.value)
-        rejects = cap.registry.counter("trace_rejects_total")
-        assert rejects.value(reason="unmapped") == 1
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
+        assert cap.registry.total(
+            "engine_rejects_total", engine="replay", reason="unmapped") == 1
+        assert cap.registry.total(
+            "engine_demotions_total", engine_from="replay",
+            reason="not_replayable") == 1
 
 
 class TestStepLimit:
@@ -188,10 +191,11 @@ class TestStepLimit:
         other, entry2 = _machine(self.SOURCE, max_steps=4)
         with pytest.raises(SimulationError, match="step limit"):
             other.run(entry2, engine="interpreter")
-        rejects = cap.registry.counter("trace_rejects_total")
-        assert rejects.value(reason="step_limit") == 1
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="not_replayable") == 1
+        assert cap.registry.total(
+            "engine_rejects_total", engine="replay", reason="step_limit") == 1
+        assert cap.registry.total(
+            "engine_demotions_total", engine_from="replay",
+            reason="not_replayable") == 1
 
 
 def test_every_declared_reason_is_covered():
@@ -245,9 +249,8 @@ def _runner_demotion(kernel, *, expected_engine: str, config=ROCKET_CONFIG,
     assert (run.value, run.limbs, run.cycles, run.instructions) \
         == (expected.value, expected.limbs, expected.cycles,
             expected.instructions)
-    runs = cap.registry.counter("machine_runs_total")
-    assert runs.value(engine=expected_engine) == 1
-    assert runs.total() == 1
+    assert cap.registry.total("kernel_runs_total", engine=expected_engine) == 1
+    assert cap.registry.total("kernel_runs_total") == 1
     return cap
 
 
@@ -270,10 +273,11 @@ class TestAotNotReplayable:
         cap = _runner_demotion(_toy_kernel("fp_mul.reduced.ise"),
                                expected_engine="interpreter",
                                config=ROCKET_CONFIG_WITH_CACHES)
-        rejects = cap.registry.counter("aot_rejects_total")
-        assert rejects.value(reason="not_replayable") == 1
-        demotions = cap.registry.counter("aot_demotions_total")
-        assert demotions.value(reason="not_compilable") == 1
+        assert cap.registry.total(
+            "engine_rejects_total", engine="aot", reason="not_replayable") == 1
+        assert cap.registry.total(
+            "engine_demotions_total", engine_from="aot",
+            reason="not_compilable") == 1
 
 
 class TestAotUnsupportedOp:
@@ -298,10 +302,12 @@ class TestAotUnsupportedOp:
 
             cap = _runner_demotion(_toy_kernel("fp_mul.full.ise"),
                                    expected_engine="replay")
-            rejects = cap.registry.counter("aot_rejects_total")
-            assert rejects.value(reason="unsupported_op") == 1
-            demotions = cap.registry.counter("aot_demotions_total")
-            assert demotions.value(reason="not_compilable") == 1
+            assert cap.registry.total(
+                "engine_rejects_total", engine="aot",
+                reason="unsupported_op") == 1
+            assert cap.registry.total(
+                "engine_demotions_total", engine_from="aot",
+                reason="not_compilable") == 1
         finally:
             aot_module._EXPRS["maddlu"] = original
 
@@ -357,10 +363,12 @@ class TestAotCodegenError:
 
             cap = _runner_demotion(_toy_kernel("fp_add.reduced.isa"),
                                    expected_engine="replay")
-            rejects = cap.registry.counter("aot_rejects_total")
-            assert rejects.value(reason="codegen_error") == 1
-            demotions = cap.registry.counter("aot_demotions_total")
-            assert demotions.value(reason="not_compilable") == 1
+            assert cap.registry.total(
+                "engine_rejects_total", engine="aot",
+                reason="codegen_error") == 1
+            assert cap.registry.total(
+                "engine_demotions_total", engine_from="aot",
+                reason="not_compilable") == 1
         finally:
             if original is None:
                 aot_module._EXPRS.pop("addi", None)
@@ -378,13 +386,14 @@ class TestAotTraceHooks:
             _toy_kernel("fp_mul.reduced.ise"),
             expected_engine="interpreter",
             hook=lambda state, ins: seen.append(ins.mnemonic))
-        assert len(seen) == cap.registry.counter(
-            "kernel_instructions_total").total()
-        demotions = cap.registry.counter("aot_demotions_total")
-        assert demotions.value(reason="trace_hooks") == 1
+        assert len(seen) == cap.registry.total("kernel_instructions_total")
+        assert cap.registry.total(
+            "engine_demotions_total", engine_from="aot",
+            reason="trace_hooks") == 1
         # ...and the replay rung below then falls back too
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="trace_hooks") == 1
+        assert cap.registry.total(
+            "engine_demotions_total", engine_from="replay",
+            reason="trace_hooks") == 1
 
 
 class TestMachineRunRefusesAot:
@@ -407,10 +416,11 @@ def test_aot_rejection_is_cached_not_retried(cold_artifacts):
                               engine="aot")
         runner.run(3, 5)
         runner.run(3, 5)
-        rejects = cap.registry.counter("aot_rejects_total")
-        assert rejects.value(reason="not_replayable") == 1
-        demotions = cap.registry.counter("aot_demotions_total")
-        assert demotions.value(reason="not_compilable") == 2
+        assert cap.registry.total(
+            "engine_rejects_total", engine="aot", reason="not_replayable") == 1
+        assert cap.registry.total(
+            "engine_demotions_total", engine_from="aot",
+            reason="not_compilable") == 2
 
 
 def test_every_declared_aot_reason_is_covered():

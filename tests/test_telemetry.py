@@ -11,12 +11,15 @@ group action, end to end.
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import telemetry
 from repro.errors import ReproError
 from repro.telemetry import (
+    FamilySpec,
     MetricsRegistry,
     SpanNode,
     TelemetryError,
@@ -51,41 +54,59 @@ def _clean_global_telemetry():
 # ---------------------------------------------------------------------------
 
 
+#: The families the registry unit tests declare for themselves.
+_TEST_CATALOGUE = {
+    "runs_total": FamilySpec("counter", ("kernel",)),
+    "pairs_total": FamilySpec("counter", ("a", "b")),
+    "c": FamilySpec("counter"),
+    "size": FamilySpec("gauge"),
+    "cycles": FamilySpec("histogram", buckets=(10, 100)),
+    "h": FamilySpec("histogram", buckets=(10,)),
+}
+
+
+def _registry() -> MetricsRegistry:
+    return MetricsRegistry(_TEST_CATALOGUE)
+
+
 class TestMetrics:
     def test_counter_inc_value_total(self):
-        reg = MetricsRegistry()
-        runs = reg.counter("runs_total", "help text")
+        reg = _registry()
+        runs = reg.counter("runs_total")
         runs.inc(kernel="fp_mul")
         runs.inc(3, kernel="fp_mul")
         runs.inc(kernel="fp_add")
-        assert runs.value(kernel="fp_mul") == 4
-        assert runs.value(kernel="fp_add") == 1
-        assert runs.value(kernel="absent") == 0
-        assert runs.total() == 5
+        assert reg.total("runs_total", kernel="fp_mul") == 4
+        assert reg.total("runs_total", kernel="fp_add") == 1
+        assert reg.total("runs_total", kernel="absent") == 0
+        assert reg.total("runs_total") == 5
+        assert reg.breakdown("runs_total", "kernel") \
+            == {"fp_mul": 4, "fp_add": 1}
 
     def test_counter_rejects_negative(self):
-        reg = MetricsRegistry()
+        reg = _registry()
         with pytest.raises(TelemetryError):
             reg.counter("c").inc(-1)
 
     def test_counter_get_or_create_is_same_family(self):
-        reg = MetricsRegistry()
+        reg = _registry()
         reg.counter("c").inc()
         reg.counter("c").inc()
-        assert reg.counter("c").total() == 2
+        assert reg.counter("c") is reg.family("c")
+        assert reg.total("c") == 2
 
     def test_gauge_set_inc_dec(self):
-        reg = MetricsRegistry()
-        gauge = reg.gauge("pool_size")
+        reg = _registry()
+        gauge = reg.gauge("size")
         gauge.set(4)
-        assert gauge.value() == 4
+        assert reg.total("size") == 4
         gauge.labels().inc(2)
         gauge.labels().dec(1)
-        assert gauge.value() == 5
+        assert reg.total("size") == 5
 
     def test_histogram_buckets_and_stats(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("cycles", buckets=(10, 100))
+        reg = _registry()
+        hist = reg.histogram("cycles")
         for value in (5, 50, 500):
             hist.observe(value)
         child = hist.labels()
@@ -95,21 +116,20 @@ class TestMetrics:
         assert child.buckets == [1, 1, 1]  # <=10, <=100, +Inf
 
     def test_type_clash_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TelemetryError, match="already registered"):
-            reg.gauge("x")
+        reg = _registry()
+        with pytest.raises(TelemetryError, match="declared as a counter"):
+            reg.gauge("c")
 
     def test_label_order_is_canonical(self):
-        reg = MetricsRegistry()
-        counter = reg.counter("c")
+        reg = _registry()
+        counter = reg.counter("pairs_total")
         counter.inc(a=1, b=2)
         counter.inc(b=2, a=1)
-        assert counter.value(b=2, a=1) == 2
+        assert reg.total("pairs_total", b=2, a=1) == 2
 
     def test_histogram_samples_flatten(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", buckets=(10,)).observe(3)
+        reg = _registry()
+        reg.histogram("h").observe(3)
         names = {s.name for s in reg.samples()}
         assert names == {"h_count", "h_sum", "h_bucket"}
         buckets = [s for s in reg.samples() if s.name == "h_bucket"]
@@ -117,13 +137,13 @@ class TestMetrics:
         assert [s.value for s in buckets] == [1, 1]  # cumulative
 
     def test_reset_drops_families(self):
-        reg = MetricsRegistry()
+        reg = _registry()
         reg.counter("c").inc()
         reg.reset()
         assert list(reg.samples()) == []
 
     def test_prometheus_rendering(self):
-        reg = MetricsRegistry()
+        reg = _registry()
         reg.counter("runs_total").inc(2, kernel="fp_mul")
         reg.gauge("size").set(3)
         text = to_prometheus(reg)
@@ -133,11 +153,70 @@ class TestMetrics:
         assert text.endswith("\n")
 
     def test_prometheus_histogram_one_type_line(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", buckets=(10,)).observe(3)
+        reg = _registry()
+        reg.histogram("h").observe(3)
         text = to_prometheus(reg)
         assert text.count("# TYPE h histogram") == 1
         assert 'h_bucket{le="+Inf"} 1' in text
+
+
+def _documented_families() -> dict[str, tuple[str, ...]]:
+    """``name -> labels`` from the metric table in OBSERVABILITY.md."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+    section = doc.read_text().split("## Built-in metrics", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        if not row.startswith("| `"):
+            continue
+        name_cell, label_cell = row.split("|")[1:3]
+        (name,) = re.findall(r"`(\w+)`", name_cell)
+        table[name] = tuple(re.findall(r"`(\w+)`", label_cell))
+    return table
+
+
+class TestCatalogue:
+    """The built-in registry accepts exactly the declared families."""
+
+    def test_unknown_family_raises(self):
+        with telemetry.capture() as cap:
+            with pytest.raises(TelemetryError, match="not declared"):
+                telemetry.inc("kernel_runz_total", kernel="fp_mul",
+                              engine="aot")
+        assert list(cap.registry.families()) == []
+
+    def test_misspelt_label_raises(self):
+        with telemetry.capture() as cap:
+            telemetry.inc("kernel_runs_total", kernel="fp_mul",
+                          engine="aot")
+            with pytest.raises(TelemetryError, match="takes labels"):
+                telemetry.inc("kernel_runs_total", kernal="fp_mul",
+                              engine="aot")
+        series = cap.registry.to_dict()["kernel_runs_total"]
+        assert series == [{"labels": {"engine": "aot",
+                                      "kernel": "fp_mul"},
+                           "value": 1}]
+
+    def test_reading_absent_family_creates_nothing(self):
+        reg = MetricsRegistry(telemetry.CATALOGUE)
+        assert reg.total("kernel_runs_total") == 0
+        assert reg.total("kernel_runs_total", engine="aot") == 0
+        assert reg.breakdown("kernel_runs_total", "engine") == {}
+        assert reg.get("kernel_runs_total") is None
+        assert list(reg.families()) == []
+        with pytest.raises(TelemetryError, match="not declared"):
+            reg.total("kernel_runz_total")
+
+    def test_histograms_declare_buckets(self):
+        for name, spec in telemetry.CATALOGUE.items():
+            assert spec.kind in ("counter", "gauge", "histogram"), name
+            assert bool(spec.buckets) == (spec.kind == "histogram"), name
+
+    def test_observability_table_matches_catalogue(self):
+        assert _documented_families() == {
+            name: spec.labels
+            for name, spec in telemetry.CATALOGUE.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +328,7 @@ class TestSpans:
 
 
 # ---------------------------------------------------------------------------
-# Global helpers: capture() and the record_* instrumentation points
+# Global helpers: capture() and the recorders
 # ---------------------------------------------------------------------------
 
 
@@ -273,13 +352,17 @@ class TestGlobalHelpers:
 
     def test_record_helpers_noop_while_disabled(self):
         telemetry.record_kernel_run("fp_mul", "replay", 10, 5)
-        telemetry.record_pool_access(True, 4)
-        telemetry.record_machine_run("replay")
-        telemetry.record_replay_fallback("trace_hooks")
-        telemetry.record_trace_compile()
-        telemetry.record_trace_reject("control_flow")
-        telemetry.record_kernel_check_failure("fp_mul")
+        telemetry.inc("runner_pool_lookups_total", outcome="hit")
+        telemetry.set_gauge("runner_pool_size", 4)
+        telemetry.inc("engine_demotions_total", engine_from="replay",
+                      engine_to="interpreter", reason="trace_hooks")
+        telemetry.inc("engine_compiles_total", engine="replay")
+        telemetry.observe("engine_compile_seconds", 0.01, engine="aot")
+        telemetry.inc("kernel_check_failures_total", kernel="fp_mul")
+        # disabled recorders return before the name is even looked up
+        telemetry.inc("no_such_family_total")
         assert list(telemetry.REGISTRY.samples()) == []
+        assert list(telemetry.REGISTRY.families()) == []
         assert telemetry.TRACER.root.children == {}
 
     def test_record_kernel_run_attributes_cycles(self):
@@ -288,20 +371,21 @@ class TestGlobalHelpers:
                 telemetry.record_kernel_run("fp_mul", "replay", 58, 33)
                 telemetry.record_kernel_run("fp_mul", "replay", 58, 33)
         assert cap.root.find("phase").self_cycles == 116
-        runs = cap.registry.counter("kernel_runs_total")
-        assert runs.value(kernel="fp_mul", engine="replay") == 2
-        cycles = cap.registry.counter("kernel_cycles_total")
-        assert cycles.value(kernel="fp_mul") == 116
+        reg = cap.registry
+        assert reg.total("kernel_runs_total", kernel="fp_mul",
+                         engine="replay") == 2
+        assert reg.total("kernel_cycles_total", kernel="fp_mul") == 116
 
     def test_record_pool_access_counters_and_gauge(self):
         with telemetry.capture() as cap:
-            telemetry.record_pool_access(False, 1)
-            telemetry.record_pool_access(True, 1)
-            telemetry.record_pool_access(True, 1)
+            for outcome in ("miss", "hit", "hit"):
+                telemetry.inc("runner_pool_lookups_total",
+                              outcome=outcome)
+                telemetry.set_gauge("runner_pool_size", 1)
         reg = cap.registry
-        assert reg.counter("runner_pool_misses_total").total() == 1
-        assert reg.counter("runner_pool_hits_total").total() == 2
-        assert reg.gauge("runner_pool_size").value() == 1
+        assert reg.breakdown("runner_pool_lookups_total", "outcome") \
+            == {"miss": 1, "hit": 2}
+        assert reg.total("runner_pool_size") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +414,7 @@ class TestExport:
 
     def test_json_document_structure(self, tmp_path):
         tracer = _sample_tree()
-        reg = MetricsRegistry()
+        reg = _registry()
         reg.counter("c").inc(5)
         path = tmp_path / "out.json"
         write_json(str(path), tracer.root, reg,
@@ -345,8 +429,8 @@ class TestExport:
 
     def test_jsonl_round_trip_rebuilds_exact_tree(self, tmp_path):
         tracer = _sample_tree()
-        reg = MetricsRegistry()
-        reg.counter("c").inc(kernel="fp_mul")
+        reg = _registry()
+        reg.counter("runs_total").inc(kernel="fp_mul")
         path = tmp_path / "out.jsonl"
         write_jsonl(str(path), tracer.root, reg)
         rebuilt = read_jsonl(str(path))
@@ -434,17 +518,15 @@ class TestInstrumentedGroupAction:
                 assert child.total_cycles > 0
 
     def test_kernel_metrics_sum_to_total(self, profile):
-        cycles = profile.registry.counter("kernel_cycles_total")
-        assert cycles.total() == profile.simulated_cycles
-        runs = profile.registry.counter("kernel_runs_total")
-        assert runs.total() > 0
+        reg = profile.registry
+        assert reg.total("kernel_cycles_total") == profile.simulated_cycles
+        assert reg.total("kernel_runs_total") > 0
 
     def test_replay_engine_used_throughout(self, profile):
-        engines = profile.registry.counter("machine_runs_total")
-        assert engines.value(engine="replay") > 0
-        assert engines.value(engine="interpreter") == 0
-        assert profile.registry.counter(
-            "replay_fallback_total").total() == 0
+        reg = profile.registry
+        assert reg.total("kernel_runs_total", engine="replay") > 0
+        assert reg.total("kernel_runs_total", engine="interpreter") == 0
+        assert reg.total("engine_demotions_total") == 0
 
     def test_hot_kernels_ranked(self, profile):
         hot = profile.hot_kernels(top=3)
@@ -481,9 +563,10 @@ class TestInstrumentedGroupAction:
 
         profile = profile_group_action(toy_params, seed=3,
                                        cross_check=True)
-        engines = profile.registry.counter("machine_runs_total")
-        assert engines.value(engine="interpreter") > 0
-        assert engines.value(engine="replay") == 0
+        engines = profile.registry.breakdown("kernel_runs_total",
+                                             "engine")
+        assert engines.get("interpreter", 0) > 0
+        assert engines.get("replay", 0) == 0
         # conservation holds on the interpreter path too
         assert profile.action_node.total_cycles \
             == profile.simulated_cycles
@@ -502,9 +585,9 @@ class TestRunnerPoolTelemetry:
             cached_runner(toy_params.p, "fp_mul.reduced.ise")
             cached_runner(toy_params.p, "fp_add.reduced.ise")
         reg = cap.registry
-        assert reg.counter("runner_pool_misses_total").total() == 2
-        assert reg.counter("runner_pool_hits_total").total() == 1
-        assert reg.gauge("runner_pool_size").value() == 2
+        assert reg.breakdown("runner_pool_lookups_total", "outcome") \
+            == {"miss": 2, "hit": 1}
+        assert reg.total("runner_pool_size") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +597,12 @@ class TestRunnerPoolTelemetry:
 
 class TestPrometheusEscaping:
     def test_hostile_label_values_escaped(self):
-        reg = MetricsRegistry()
+        reg = _registry()
         hostile = 'back\\slash "quoted"\nnewline'
-        reg.counter("hostile_total").inc(3, kernel=hostile)
+        reg.counter("runs_total").inc(3, kernel=hostile)
         text = to_prometheus(reg)
         line = next(l for l in text.splitlines()
-                    if l.startswith("hostile_total"))
+                    if l.startswith("runs_total"))
         # The exposition stays one physical line: the raw newline must
         # have been escaped, not emitted.
         assert "\n" not in line
@@ -528,7 +611,7 @@ class TestPrometheusEscaping:
         assert line.endswith(" 3")
 
     def test_benign_labels_unchanged(self):
-        reg = MetricsRegistry()
+        reg = _registry()
         reg.counter("runs_total").inc(kernel="fp_mul.reduced.ise")
         assert ('runs_total{kernel="fp_mul.reduced.ise"} 1'
                 in to_prometheus(reg))

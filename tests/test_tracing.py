@@ -137,11 +137,9 @@ class TestTraceHookEngine:
         with telemetry.capture() as cap:
             result = machine.run(entry, engine="replay")
         assert result.engine == "interpreter"
-        fallbacks = cap.registry.counter("replay_fallback_total")
-        assert fallbacks.value(reason="trace_hooks") == 1
-        engines = cap.registry.counter("machine_runs_total")
-        assert engines.value(engine="interpreter") == 1
-        assert engines.value(engine="replay") == 0
+        assert cap.registry.total(
+            "engine_demotions_total", engine_from="replay",
+            engine_to="interpreter", reason="trace_hooks") == 1
 
 
 class TestTimingModel:
